@@ -78,7 +78,7 @@ func (c *Checker) Check(query string) (*Violation, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoBound, query)
 	}
-	est, err := c.est.Estimate(query)
+	est, err := c.est.EstimateStmt(query, stmt)
 	if err != nil {
 		return nil, err
 	}

@@ -13,6 +13,7 @@ import (
 
 	"uplan/internal/dbms"
 	"uplan/internal/oracle"
+	"uplan/internal/sql"
 	"uplan/internal/sqlancer"
 )
 
@@ -85,6 +86,17 @@ func (c *Checker) SetDecoder(dec *oracle.Decoder) {
 // estimate returns one matching ErrNoEstimate.
 func (c *Checker) Estimate(query string) (float64, error) {
 	serialized, err := c.Engine.Explain(query, c.Engine.DefaultFormat())
+	return c.estimate(query, serialized, err)
+}
+
+// EstimateStmt is Estimate for a query the caller has already parsed;
+// stmt must be query's AST.
+func (c *Checker) EstimateStmt(query string, stmt sql.Statement) (float64, error) {
+	serialized, err := c.Engine.ExplainStmt(stmt, c.Engine.DefaultFormat())
+	return c.estimate(query, serialized, err)
+}
+
+func (c *Checker) estimate(query, serialized string, err error) (float64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("%w: %q: %v", ErrUnplannable, query, err)
 	}

@@ -6,6 +6,7 @@ package datum
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math"
 	"strconv"
 	"strings"
@@ -200,6 +201,91 @@ func (d D) Key() string {
 		return "b0"
 	}
 	return "?"
+}
+
+// KeyEqual reports whether a.Key() == b.Key() without building either key:
+// INT and FLOAT compare as float64 (so 1 equals 1.0 and -0.0 differs from
+// 0), all NaNs are equal, and values of other kinds compare within their
+// kind.
+//
+//uplan:hotpath
+func KeyEqual(a, b D) bool {
+	af, aNum := keyFloat(a)
+	bf, bNum := keyFloat(b)
+	if aNum || bNum {
+		return aNum && bNum && math.Float64bits(af) == math.Float64bits(bf)
+	}
+	if a.K != b.K {
+		return false
+	}
+	switch a.K {
+	case KString:
+		return a.S == b.S
+	case KBool:
+		return a.B == b.B
+	}
+	return true
+}
+
+// keyFloat returns the float64 a numeric value's Key is printed from, with
+// every NaN folded to one bit pattern; the second result is false for
+// non-numeric kinds. FormatFloat's shortest form is unique per float64, so
+// two numeric keys are equal exactly when these bit patterns are.
+func keyFloat(d D) (float64, bool) {
+	var f float64
+	switch d.K {
+	case KInt:
+		f = float64(d.I)
+	case KFloat:
+		f = d.F
+	default:
+		return 0, false
+	}
+	if f != f {
+		f = math.NaN()
+	}
+	return f, true
+}
+
+// rowHashSeed keys RowHash. Hashes are only compared within one process.
+var rowHashSeed = maphash.MakeSeed()
+
+// RowHash hashes a row consistently with RowKey: rows with equal RowKeys
+// hash equally. Unequal rows may collide, so equal hashes prove nothing
+// on their own; callers confirm with KeyEqual.
+//
+//uplan:hotpath
+func RowHash(row []D) uint64 {
+	h := uint64(len(row))
+	for _, d := range row {
+		// x is the value's hash within its key class; INT and FLOAT share
+		// the numeric class, as they share Key's "n" prefix.
+		var x uint64
+		switch d.K {
+		case KInt, KFloat:
+			f, _ := keyFloat(d)
+			x = math.Float64bits(f) ^ 0x9e3779b97f4a7c15
+		case KString:
+			x = maphash.String(rowHashSeed, d.S) ^ 0x3c6ef372fe94f82a
+		case KBool:
+			x = 0x510e527fade682d1
+			if d.B {
+				x++
+			}
+		}
+		h = mix64(h ^ x)
+	}
+	return h
+}
+
+// mix64 is the splitmix64 finalizer.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
 }
 
 // RowKey encodes a slice of values into a composite key.

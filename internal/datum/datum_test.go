@@ -1,6 +1,7 @@
 package datum
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -181,4 +182,30 @@ func sign(x int) int {
 		return 1
 	}
 	return 0
+}
+
+// TestKeyEqualAndRowHashFollowKey pins KeyEqual to Key equality and
+// RowHash to RowKey equality over values chosen to stress the encoding:
+// INT/FLOAT twins, signed zeros, NaN payloads, integers past 2^53 and
+// strings that look like encoded keys.
+func TestKeyEqualAndRowHashFollowKey(t *testing.T) {
+	vals := []D{
+		Null(), Int(0), Float(0), Float(math.Copysign(0, -1)), Int(1), Float(1),
+		Float(1.5), Float(math.NaN()), Float(math.Float64frombits(0x7ff8000000000001)),
+		Float(math.Inf(1)), Float(math.Inf(-1)), Int(1 << 53), Int(1<<53 + 1),
+		Float(1 << 53), Int(-3), Str(""), Str("1"), Str("n1"), Str("1:n1"),
+		Str("b1"), Bool(true), Bool(false),
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			want := a.Key() == b.Key()
+			if got := KeyEqual(a, b); got != want {
+				t.Errorf("KeyEqual(%v %v, %v %v) = %v, keys %q %q", a.K, a, b.K, b, got, a.Key(), b.Key())
+			}
+			ra, rb := []D{a, Str("x")}, []D{b, Str("x")}
+			if RowKey(ra) == RowKey(rb) && RowHash(ra) != RowHash(rb) {
+				t.Errorf("equal RowKeys hash differently: %v vs %v", ra, rb)
+			}
+		}
+	}
 }

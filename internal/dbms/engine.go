@@ -155,22 +155,25 @@ func (e *Engine) planner() *planner.Planner {
 // Execute parses, plans, and runs a statement, returning its result.
 // EXPLAIN statements return the serialized plan as a single text column.
 func (e *Engine) Execute(query string) (*exec.Result, error) {
-	e.queries++
 	stmt, err := sql.Parse(query)
 	if err != nil {
+		e.queries++ // a statement that fails to parse still counts
 		return nil, err
 	}
+	return e.ExecuteStmt(stmt)
+}
+
+// ExecuteStmt plans and runs a parsed statement. Planning and execution
+// only read the AST, so one parse can serve several calls on several
+// engines; the campaign oracles rely on that.
+func (e *Engine) ExecuteStmt(stmt sql.Statement) (*exec.Result, error) {
+	e.queries++
 	if ex, ok := stmt.(*sql.Explain); ok {
 		format := explain.FormatText
 		if ex.Format != "" {
 			format = explain.Format(ex.Format)
 		}
-		var out string
-		if ex.Analyze {
-			out, err = e.explainStmt(ex.Stmt, format, true)
-		} else {
-			out, err = e.explainStmt(ex.Stmt, format, false)
-		}
+		out, err := e.explainStmt(ex.Stmt, format, ex.Analyze)
 		if err != nil {
 			return nil, err
 		}
@@ -182,7 +185,7 @@ func (e *Engine) Execute(query string) (*exec.Result, error) {
 	}
 	ng := exec.New(e.DB)
 	ng.Quirks = e.Quirks
-	return ng.Run(plan)
+	return ng.Execute(plan)
 }
 
 // textResult wraps a serialized text plan as a one-column result, one row
@@ -207,15 +210,19 @@ func textResult(s string) *exec.Result {
 
 // Explain plans the statement and serializes its native plan.
 func (e *Engine) Explain(query string, format explain.Format) (string, error) {
-	e.queries++
 	stmt, err := sql.Parse(query)
 	if err != nil {
+		e.queries++
 		return "", err
 	}
-	if ex, ok := stmt.(*sql.Explain); ok {
-		stmt = ex.Stmt
-	}
-	return e.explainStmt(stmt, format, false)
+	return e.ExplainStmt(stmt, format)
+}
+
+// ExplainStmt plans a parsed statement and serializes its native plan.
+// Like ExecuteStmt it leaves the AST untouched.
+func (e *Engine) ExplainStmt(stmt sql.Statement, format explain.Format) (string, error) {
+	e.queries++
+	return e.explainStmt(unwrapExplain(stmt), format, false)
 }
 
 // ExplainAnalyze executes the statement and serializes its native plan
@@ -226,29 +233,44 @@ func (e *Engine) ExplainAnalyze(query string, format explain.Format) (string, er
 	if err != nil {
 		return "", err
 	}
+	return e.explainStmt(unwrapExplain(stmt), format, true)
+}
+
+// unwrapExplain strips an EXPLAIN prefix: explaining "EXPLAIN q" explains q.
+func unwrapExplain(stmt sql.Statement) sql.Statement {
 	if ex, ok := stmt.(*sql.Explain); ok {
-		stmt = ex.Stmt
+		return ex.Stmt
 	}
-	return e.explainStmt(stmt, format, true)
+	return stmt
 }
 
 func (e *Engine) explainStmt(stmt sql.Statement, format explain.Format, analyze bool) (string, error) {
-	plan, err := e.planner().Plan(stmt)
+	native, err := e.nativeStmt(stmt, analyze)
 	if err != nil {
 		return "", err
+	}
+	return explain.Serialize(native, format)
+}
+
+// nativeStmt plans a statement and shapes its native plan; with analyze
+// set it first executes the plan, so the shaped plan carries actuals.
+func (e *Engine) nativeStmt(stmt sql.Statement, analyze bool) (*explain.Plan, error) {
+	plan, err := e.planner().Plan(stmt)
+	if err != nil {
+		return nil, err
 	}
 	var stats map[*planner.PhysOp]*exec.OpStats
 	if analyze {
 		ng := exec.New(e.DB)
 		ng.Quirks = e.Quirks
 		if _, err := ng.Run(plan); err != nil {
-			return "", err
+			return nil, err
 		}
 		stats = ng.Stats
 	}
 	native := e.shaper(e, plan, stats)
 	native.Dialect = e.Info.Name
-	return explain.Serialize(native, format)
+	return native, nil
 }
 
 // NativePlan shapes a statement's plan without serialization (used by
@@ -258,16 +280,17 @@ func (e *Engine) NativePlan(query string) (*explain.Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ex, ok := stmt.(*sql.Explain); ok {
-		stmt = ex.Stmt
-	}
-	plan, err := e.planner().Plan(stmt)
+	return e.nativeStmt(unwrapExplain(stmt), false)
+}
+
+// NativePlanAnalyzed is NativePlan for EXPLAIN ANALYZE: it executes the
+// statement, and the shaped plan carries actual row counts and times.
+func (e *Engine) NativePlanAnalyzed(query string) (*explain.Plan, error) {
+	stmt, err := sql.Parse(query)
 	if err != nil {
 		return nil, err
 	}
-	native := e.shaper(e, plan, nil)
-	native.Dialect = e.Info.Name
-	return native, nil
+	return e.nativeStmt(unwrapExplain(stmt), true)
 }
 
 // PhysicalPlan exposes the engine-neutral plan (used by CERT to read the
@@ -277,10 +300,7 @@ func (e *Engine) PhysicalPlan(query string) (*planner.PhysOp, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ex, ok := stmt.(*sql.Explain); ok {
-		stmt = ex.Stmt
-	}
-	return e.planner().Plan(stmt)
+	return e.planner().Plan(unwrapExplain(stmt))
 }
 
 // Analyze refreshes optimizer statistics for all tables.

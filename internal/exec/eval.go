@@ -23,18 +23,56 @@ import (
 var ErrUnresolvedColumn = errors.New("unresolved column")
 
 // scope is one level of column bindings; parent links implement correlated
-// subquery resolution.
+// subquery resolution. An operator builds one scope per call and moves it
+// from row to row, so its column cache lives as long as the operator call.
 type scope struct {
 	schema  []planner.OutCol
 	row     []datum.D
 	parent  *scope
 	touched *bool // set when resolution escapes to the parent scope
+	// cols caches column references already resolved against schema;
+	// ord -1 records a reference that schema does not hold.
+	cols []resolvedCol
 }
 
-func (s *scope) lookup(table, name string) (datum.D, bool) {
+type resolvedCol struct {
+	ref *sql.ColumnRef
+	ord int
+}
+
+// column resolves a column reference, against this scope's schema by
+// ordinal once per reference and per scope, and otherwise through the
+// parent scopes.
+//
+//uplan:hotpath
+func (s *scope) column(ref *sql.ColumnRef) (datum.D, bool) {
+	if s == nil {
+		return datum.Null(), false
+	}
+	ord := -2
+	for _, c := range s.cols {
+		if c.ref == ref {
+			ord = c.ord
+			break
+		}
+	}
+	if ord == -2 {
+		ord = planner.FindColumn(s.schema, ref.Table, ref.Name)
+		s.cols = append(s.cols, resolvedCol{ref, ord})
+	}
+	if ord >= 0 {
+		return s.row[ord], true
+	}
+	return s.parent.lookupFrom(s, ref.Table, ref.Name)
+}
+
+// lookupFrom resolves a column in s and its ancestors on behalf of the
+// scope from, which has already missed. A hit beyond a subquery boundary
+// marks that subquery as correlated.
+func (s *scope) lookupFrom(from *scope, table, name string) (datum.D, bool) {
 	var crossed []*bool
 	for sc := s; sc != nil; sc = sc.parent {
-		if sc != s && sc.touched != nil {
+		if sc != from && sc.touched != nil {
 			// We are about to search a subquery boundary scope (or beyond):
 			// a hit from here on means the subquery is correlated.
 			crossed = append(crossed, sc.touched)
@@ -71,7 +109,7 @@ func (ex *Executor) eval(e sql.Expr, sc *scope) (datum.D, error) {
 	case *sql.Literal:
 		return t.Val, nil
 	case *sql.ColumnRef:
-		if v, ok := sc.lookup(t.Table, t.Name); ok {
+		if v, ok := sc.column(t); ok {
 			return v, nil
 		}
 		return datum.Null(), fmt.Errorf("exec: %w %s", ErrUnresolvedColumn, t.SQL())

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -53,7 +54,10 @@ type OpStats struct {
 	Loops      int
 }
 
-// Result is the materialized output of a statement.
+// Result is the materialized output of a statement. Rows are read-only:
+// operators hand rows up the plan without copying (an identity projection
+// returns its child's rows), so one row slice can back several results'
+// rows, and rows of one result share a backing slab.
 type Result struct {
 	Columns []string
 	Rows    [][]datum.D
@@ -63,7 +67,8 @@ type Result struct {
 type Executor struct {
 	DB     *storage.DB
 	Quirks Quirks
-	// Stats collects per-operator runtime statistics of the last Run.
+	// Stats collects per-operator runtime statistics of the last Run;
+	// Execute leaves it nil.
 	Stats map[*planner.PhysOp]*OpStats
 
 	subplans map[*sql.Select]*planner.PhysOp
@@ -75,13 +80,29 @@ func New(db *storage.DB) *Executor {
 	return &Executor{DB: db}
 }
 
-// Run executes a plan and returns its result.
+// Run executes a plan and returns its result, recording per-operator
+// runtime statistics in Stats: the EXPLAIN ANALYZE path.
 func (ex *Executor) Run(plan *planner.PhysOp) (*Result, error) {
 	ex.Stats = map[*planner.PhysOp]*OpStats{}
-	ex.subplans = map[*sql.Select]*planner.PhysOp{}
-	ex.subCache = map[*sql.Select][][]datum.D{}
+	return ex.start(plan)
+}
+
+// Execute executes a plan and returns its result without recording
+// statistics.
+func (ex *Executor) Execute(plan *planner.PhysOp) (*Result, error) {
+	ex.Stats = nil
+	return ex.start(plan)
+}
+
+func (ex *Executor) start(plan *planner.PhysOp) (*Result, error) {
+	ex.subplans = nil
+	ex.subCache = nil
 	plan.Walk(func(op *planner.PhysOp, _ int) {
 		for _, sp := range op.Subplans {
+			if ex.subplans == nil {
+				ex.subplans = map[*sql.Select]*planner.PhysOp{}
+				ex.subCache = map[*sql.Select][][]datum.D{}
+			}
 			ex.subplans[sp.Sel] = sp.Plan
 		}
 	})
@@ -104,6 +125,9 @@ func (ex *Executor) record(op *planner.PhysOp, rows int, d time.Duration) {
 }
 
 func (ex *Executor) run(op *planner.PhysOp, outer *scope) ([][]datum.D, error) {
+	if ex.Stats == nil {
+		return ex.runInner(op, outer)
+	}
 	start := time.Now()
 	rows, err := ex.runInner(op, outer)
 	if err != nil {
@@ -168,20 +192,49 @@ func (ex *Executor) runSeqScan(op *planner.PhysOp, outer *scope) ([][]datum.D, e
 		return nil, fmt.Errorf("exec: no such table %q", op.Table)
 	}
 	var out [][]datum.D
+	if op.Filter == nil {
+		out = make([][]datum.D, 0, tbl.RowCount())
+	}
 	var scanErr error
+	sc := &scope{schema: op.Schema, parent: outer}
 	tbl.Scan(func(_ int, row storage.Row) bool {
-		sc := &scope{schema: op.Schema, row: row, parent: outer}
+		sc.row = row
 		tr, err := ex.EvalTruth(op.Filter, sc)
 		if err != nil {
 			scanErr = err
 			return false
 		}
 		if tr == datum.True {
-			out = append(out, append([]datum.D(nil), row...))
+			out = append(out, row)
 		}
 		return true
 	})
-	return out, scanErr
+	if scanErr != nil {
+		return nil, scanErr
+	}
+	copyRows(out)
+	return out, nil
+}
+
+// copyRows replaces stored rows, which must never leave the executor, with
+// copies carved from one slab sized for exactly these rows. Each copy is
+// a capped 3-index slice: an append to one row reallocates it rather than
+// overwriting its neighbour.
+//
+//uplan:hotpath
+func copyRows(rows [][]datum.D) {
+	n := 0
+	for _, row := range rows {
+		n += len(row)
+	}
+	slab := make([]datum.D, n)
+	for i, row := range rows {
+		w := len(row)
+		dst := slab[:w:w]
+		slab = slab[w:]
+		copy(dst, row)
+		rows[i] = dst
+	}
 }
 
 func (ex *Executor) runIndexScan(op *planner.PhysOp, outer *scope) ([][]datum.D, error) {
@@ -194,20 +247,22 @@ func (ex *Executor) runIndexScan(op *planner.PhysOp, outer *scope) ([][]datum.D,
 		return nil, err
 	}
 	var out [][]datum.D
+	sc := &scope{schema: op.Schema, parent: outer}
 	for _, id := range ids {
 		row, ok := tbl.Get(id)
 		if !ok {
 			continue
 		}
-		sc := &scope{schema: op.Schema, row: row, parent: outer}
+		sc.row = row
 		tr, err := ex.EvalTruth(op.Filter, sc)
 		if err != nil {
 			return nil, err
 		}
 		if tr == datum.True {
-			out = append(out, append([]datum.D(nil), row...))
+			out = append(out, row)
 		}
 	}
+	copyRows(out)
 	return out, nil
 }
 
@@ -370,8 +425,9 @@ func (ex *Executor) runFilter(op *planner.PhysOp, outer *scope) ([][]datum.D, er
 		return nil, err
 	}
 	var out [][]datum.D
+	sc := &scope{schema: op.Schema, parent: outer}
 	for _, row := range in {
-		sc := &scope{schema: op.Schema, row: row, parent: outer}
+		sc.row = row
 		tr, err := ex.EvalTruth(op.Filter, sc)
 		if err != nil {
 			return nil, err
@@ -389,10 +445,19 @@ func (ex *Executor) runProject(op *planner.PhysOp, outer *scope) ([][]datum.D, e
 		return nil, err
 	}
 	child := op.Children[0]
+	if isScan(child) && isIdentityProjection(op.Projections, child.Schema) {
+		// SELECT * over a scan: the scan's rows are already fresh copies
+		// with exactly these columns.
+		return in, nil
+	}
 	out := make([][]datum.D, 0, len(in))
+	sc := &scope{schema: child.Schema, parent: outer}
+	width := len(op.Projections)
+	slab := make([]datum.D, len(in)*width)
 	for _, row := range in {
-		sc := &scope{schema: child.Schema, row: row, parent: outer}
-		proj := make([]datum.D, len(op.Projections))
+		sc.row = row
+		proj := slab[:width:width]
+		slab = slab[width:]
 		for i, e := range op.Projections {
 			v, err := ex.eval(e, sc)
 			if err != nil {
@@ -403,6 +468,30 @@ func (ex *Executor) runProject(op *planner.PhysOp, outer *scope) ([][]datum.D, e
 		out = append(out, proj)
 	}
 	return out, nil
+}
+
+func isScan(op *planner.PhysOp) bool {
+	switch op.Kind {
+	case planner.OpSeqScan, planner.OpIndexScan, planner.OpIndexOnlyScan:
+		return true
+	}
+	return false
+}
+
+// isIdentityProjection reports whether projecting exprs over schema
+// returns every row unchanged: each expression is a column reference
+// that resolves, in this schema, to its own position.
+func isIdentityProjection(exprs []sql.Expr, schema []planner.OutCol) bool {
+	if len(exprs) != len(schema) {
+		return false
+	}
+	for i, e := range exprs {
+		ref, ok := e.(*sql.ColumnRef)
+		if !ok || planner.FindColumn(schema, ref.Table, ref.Name) != i {
+			return false
+		}
+	}
+	return true
 }
 
 func (ex *Executor) runNLJoin(op *planner.PhysOp, outer *scope) ([][]datum.D, error) {
@@ -417,18 +506,20 @@ func (ex *Executor) runNLJoin(op *planner.PhysOp, outer *scope) ([][]datum.D, er
 	rightWidth := len(op.Children[1].Schema)
 	var out [][]datum.D
 	leftJoin := op.JoinType == sql.JoinLeft && !ex.Quirks.LeftJoinAsInner
+	sc := &scope{schema: op.Schema, parent: outer}
+	var pair []datum.D // the candidate row, copied out only on a match
 	for _, l := range left {
 		matched := false
 		for _, r := range right {
-			combined := append(append([]datum.D(nil), l...), r...)
-			sc := &scope{schema: op.Schema, row: combined, parent: outer}
+			pair = append(append(pair[:0], l...), r...)
+			sc.row = pair
 			tr, err := ex.EvalTruth(op.JoinCond, sc)
 			if err != nil {
 				return nil, err
 			}
 			if tr == datum.True {
 				matched = true
-				out = append(out, combined)
+				out = append(out, slices.Clone(pair))
 			}
 		}
 		if leftJoin && !matched {
@@ -446,8 +537,8 @@ func padNulls(l []datum.D, n int) []datum.D {
 	return row
 }
 
-func (ex *Executor) joinKey(exprs []sql.Expr, schema []planner.OutCol, row []datum.D, outer *scope) (string, bool, error) {
-	sc := &scope{schema: schema, row: row, parent: outer}
+func (ex *Executor) joinKey(exprs []sql.Expr, sc *scope, row []datum.D) (string, bool, error) {
+	sc.row = row
 	var b strings.Builder
 	for _, e := range exprs {
 		v, err := ex.eval(e, sc)
@@ -480,8 +571,9 @@ func (ex *Executor) runHashJoin(op *planner.PhysOp, outer *scope) ([][]datum.D, 
 	lschema := op.Children[0].Schema
 	rschema := op.Children[1].Schema
 	table := map[string][][]datum.D{}
+	rsc := &scope{schema: rschema, parent: outer}
 	for _, r := range right {
-		key, ok, err := ex.joinKey(op.HashKeysR, rschema, r, outer)
+		key, ok, err := ex.joinKey(op.HashKeysR, rsc, r)
 		if err != nil {
 			return nil, err
 		}
@@ -492,16 +584,18 @@ func (ex *Executor) runHashJoin(op *planner.PhysOp, outer *scope) ([][]datum.D, 
 	}
 	var out [][]datum.D
 	leftJoin := op.JoinType == sql.JoinLeft && !ex.Quirks.LeftJoinAsInner
+	lsc := &scope{schema: lschema, parent: outer}
+	sc := &scope{schema: op.Schema, parent: outer}
 	for _, l := range left {
 		matched := false
-		key, ok, err := ex.joinKey(op.HashKeysL, lschema, l, outer)
+		key, ok, err := ex.joinKey(op.HashKeysL, lsc, l)
 		if err != nil {
 			return nil, err
 		}
 		if ok {
 			for _, r := range table[key] {
 				combined := append(append([]datum.D(nil), l...), r...)
-				sc := &scope{schema: op.Schema, row: combined, parent: outer}
+				sc.row = combined
 				tr, err := ex.EvalTruth(op.JoinCond, sc)
 				if err != nil {
 					return nil, err
@@ -573,11 +667,12 @@ func (ex *Executor) runMergeJoin(op *planner.PhysOp, outer *scope) ([][]datum.D,
 	if ex.Quirks.MergeJoinDropsLastGroup && len(groups) > 0 {
 		groups = groups[:len(groups)-1] // injected defect
 	}
+	sc := &scope{schema: op.Schema, parent: outer}
 	for _, g := range groups {
 		for li := g[0][0]; li < g[0][1]; li++ {
 			for rj := g[1][0]; rj < g[1][1]; rj++ {
 				combined := append(append([]datum.D(nil), lk.rows[li]...), rk.rows[rj]...)
-				sc := &scope{schema: op.Schema, row: combined, parent: outer}
+				sc.row = combined
 				tr, err := ex.EvalTruth(op.JoinCond, sc)
 				if err != nil {
 					return nil, err
@@ -607,8 +702,9 @@ type keyedRows struct {
 
 func (ex *Executor) sortByKeys(rows [][]datum.D, schema []planner.OutCol, keys []sql.Expr, outer *scope) (*keyedRows, error) {
 	kr := &keyedRows{rows: rows, keys: make([][]datum.D, len(rows)), null: make([]bool, len(rows))}
+	sc := &scope{schema: schema, parent: outer}
 	for i, row := range rows {
-		sc := &scope{schema: schema, row: row, parent: outer}
+		sc.row = row
 		ks := make([]datum.D, len(keys))
 		for j, e := range keys {
 			v, err := ex.eval(e, sc)
@@ -665,8 +761,9 @@ func (ex *Executor) runAggregate(op *planner.PhysOp, outer *scope) ([][]datum.D,
 	}
 	groups := map[string]*group{}
 	var order []string
+	sc := &scope{schema: child.Schema, parent: outer}
 	for _, row := range in {
-		sc := &scope{schema: child.Schema, row: row, parent: outer}
+		sc.row = row
 		keyVals := make([]datum.D, len(op.GroupBy))
 		nullKey := false
 		for i, g := range op.GroupBy {
@@ -813,8 +910,9 @@ func (ex *Executor) runSort(op *planner.PhysOp, outer *scope) ([][]datum.D, erro
 	// include hidden trailing columns appended for exactly this purpose.
 	evalSchema := op.Children[0].Schema
 	ks := make([]keyed, len(in))
+	sc := &scope{schema: evalSchema, parent: outer}
 	for i, row := range in {
-		sc := &scope{schema: evalSchema, row: row, parent: outer}
+		sc.row = row
 		keys := make([]datum.D, len(op.SortKeys))
 		for j, k := range op.SortKeys {
 			v, err := ex.eval(k.Expr, sc)
@@ -1087,8 +1185,9 @@ func (ex *Executor) runUpdate(op *planner.PhysOp, outer *scope) ([][]datum.D, er
 	// injected defect is active.
 	var ids []int
 	var scanErr error
+	sc := &scope{schema: schema, parent: outer}
 	tbl.Scan(func(id int, row storage.Row) bool {
-		sc := &scope{schema: schema, row: row, parent: outer}
+		sc.row = row
 		tr, err := ex.EvalTruth(upd.Where, sc)
 		if err != nil {
 			scanErr = err
@@ -1142,8 +1241,9 @@ func (ex *Executor) runDelete(op *planner.PhysOp, outer *scope) ([][]datum.D, er
 	schema := op.Children[0].Schema
 	var ids []int
 	var scanErr error
+	sc := &scope{schema: schema, parent: outer}
 	tbl.Scan(func(id int, row storage.Row) bool {
-		sc := &scope{schema: schema, row: row, parent: outer}
+		sc.row = row
 		tr, err := ex.EvalTruth(del.Where, sc)
 		if err != nil {
 			scanErr = err

@@ -1,7 +1,6 @@
 package explain
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 )
@@ -58,61 +57,94 @@ func mysqlTitle(n *Node) string {
 	return title
 }
 
-func mysqlNodeJSON(n *Node) map[string]any {
-	m := map[string]any{"operation": mysqlTitle(n)}
-	ci := map[string]any{}
-	if c, ok := n.Prop("total_cost"); ok {
-		ci["query_cost"] = FormatVal(c)
-	}
-	if rc, ok := n.Prop("read_cost"); ok {
-		ci["read_cost"] = FormatVal(rc)
-	}
-	if ec, ok := n.Prop("eval_cost"); ok {
-		ci["eval_cost"] = FormatVal(ec)
-	}
-	if len(ci) > 0 {
-		m["cost_info"] = ci
+// mysqlNodeJSON writes one operation object of the JSON format.
+//
+//uplan:hotpath
+func mysqlNodeJSON(w *jsonWriter, n *Node, depth int) {
+	var buf [8]jsonField
+	o := jsonObject(buf[:0])
+	o.setString("operation", mysqlTitle(n))
+	if hasAnyProp(n, "total_cost", "read_cost", "eval_cost") {
+		o.setNested("cost_info", n, mysqlCostInfoJSON)
 	}
 	if rows, ok := n.Prop("rows"); ok {
-		m["rows_examined_per_scan"] = rows
+		o.setValue("rows_examined_per_scan", rows)
 	}
 	if n.Object != "" {
-		m["table_name"] = n.Object
+		o.setString("table_name", n.Object)
 	}
 	if key, ok := n.Prop("key"); ok {
-		m["key"] = key
+		o.setValue("key", key)
 	}
 	if cond, ok := n.Prop("condition"); ok {
-		m["attached_condition"] = cond
+		o.setValue("attached_condition", cond)
 	}
 	if ar, ok := n.Prop("actual_rows"); ok {
-		m["actual_rows"] = ar
+		o.setValue("actual_rows", ar)
 	}
 	if len(n.Children) > 0 {
-		var kids []any
-		for _, c := range n.Children {
-			kids = append(kids, mysqlNodeJSON(c))
-		}
-		m["inputs"] = kids
+		o.setNested("inputs", n, mysqlInputsJSON)
 	}
-	return m
+	w.object(o, depth)
+}
+
+func hasAnyProp(n *Node, keys ...string) bool {
+	for _, k := range keys {
+		if _, ok := n.Prop(k); ok {
+			return true
+		}
+	}
+	return false
+}
+
+// mysqlCostInfoJSON writes a node's cost_info object: its costs as the
+// strings the text format prints.
+func mysqlCostInfoJSON(w *jsonWriter, n *Node, depth int) {
+	var buf [3]jsonField
+	o := jsonObject(buf[:0])
+	if c, ok := n.Prop("total_cost"); ok {
+		o.setString("query_cost", FormatVal(c))
+	}
+	if rc, ok := n.Prop("read_cost"); ok {
+		o.setString("read_cost", FormatVal(rc))
+	}
+	if ec, ok := n.Prop("eval_cost"); ok {
+		o.setString("eval_cost", FormatVal(ec))
+	}
+	w.object(o, depth)
+}
+
+// mysqlQueryCostJSON writes the query block's cost_info: the root's
+// total cost alone.
+func mysqlQueryCostJSON(w *jsonWriter, n *Node, depth int) {
+	c, _ := n.Prop("total_cost")
+	w.object(jsonObject{{key: "query_cost", kind: fieldString, str: FormatVal(c)}}, depth)
+}
+
+func mysqlInputsJSON(w *jsonWriter, n *Node, depth int) {
+	w.nodeArray(n, depth, mysqlNodeJSON)
 }
 
 // MySQLJSON renders the (simplified) EXPLAIN FORMAT=JSON document: a
 // query_block wrapping the operation tree.
 func MySQLJSON(p *Plan) (string, error) {
-	qb := map[string]any{"select_id": 1}
+	var buf [3]jsonField
+	qb := jsonObject(buf[:0])
+	qb.setValue("select_id", 1)
 	if p.Root != nil {
-		if c, ok := p.Root.Prop("total_cost"); ok {
-			qb["cost_info"] = map[string]any{"query_cost": FormatVal(c)}
+		if _, ok := p.Root.Prop("total_cost"); ok {
+			qb.setNested("cost_info", p.Root, mysqlQueryCostJSON)
 		}
-		qb["plan"] = mysqlNodeJSON(p.Root)
+		qb.setNested("plan", p.Root, mysqlNodeJSON)
 	}
-	data, err := json.MarshalIndent(map[string]any{"query_block": qb}, "", "  ")
-	if err != nil {
-		return "", fmt.Errorf("explain: mysql json: %w", err)
-	}
-	return string(data), nil
+	w := newJSONWriter()
+	w.b = append(w.b, '{')
+	w.newline(1)
+	w.key("query_block")
+	w.object(qb, 1)
+	w.newline(0)
+	w.b = append(w.b, '}')
+	return w.result("mysql")
 }
 
 // MySQLTable renders the classic tabular EXPLAIN: one row per table

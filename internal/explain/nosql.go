@@ -1,63 +1,77 @@
 package explain
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 )
 
 // MongoDB, Neo4j, SparkSQL, and SQL Server serializations.
 
-func mongoStage(n *Node) map[string]any {
-	m := map[string]any{"stage": n.Name}
+// mongoStage writes one stage document of the winning plan; a single
+// input nests as inputStage, several as inputStages.
+//
+//uplan:hotpath
+func mongoStage(w *jsonWriter, n *Node, depth int) {
+	var buf [12]jsonField
+	o := jsonObject(buf[:0])
+	o.setString("stage", n.Name)
 	if n.Object != "" {
-		m["namespace"] = "test." + n.Object
+		o.setString("namespace", "test."+n.Object)
 	}
 	for _, pr := range n.Props {
 		switch pr.Key {
 		case "rows", "width", "startup_cost", "total_cost":
 			// Mongo exposes no estimates in winningPlan.
 		case "actual_rows":
-			m["nReturned"] = pr.Val
+			o.setValue("nReturned", pr.Val)
 		default:
-			m[pr.Key] = pr.Val
+			o.setValue(pr.Key, pr.Val)
 		}
 	}
 	switch len(n.Children) {
 	case 0:
 	case 1:
-		m["inputStage"] = mongoStage(n.Children[0])
+		o.setNested("inputStage", n.Children[0], mongoStage)
 	default:
-		var kids []any
-		for _, c := range n.Children {
-			kids = append(kids, mongoStage(c))
-		}
-		m["inputStages"] = kids
+		o.setNested("inputStages", n, mongoInputStages)
 	}
-	return m
+	w.object(o, depth)
 }
+
+func mongoInputStages(w *jsonWriter, n *Node, depth int) {
+	w.nodeArray(n, depth, mongoStage)
+}
+
+// mongoQueryPlanner writes the queryPlanner document around the winning
+// plan rooted at n (nil for an empty plan).
+func mongoQueryPlanner(w *jsonWriter, n *Node, depth int) {
+	var buf [4]jsonField
+	qp := jsonObject(buf[:0])
+	qp.setValue("plannerVersion", 1)
+	qp.setNested("rejectedPlans", nil, emptyJSONArray)
+	if n != nil {
+		qp.setNested("winningPlan", n, mongoStage)
+		if n.Object != "" {
+			qp.setString("namespace", "test."+n.Object)
+		}
+	}
+	w.object(qp, depth)
+}
+
+func emptyJSONArray(w *jsonWriter, _ *Node, _ int) { w.b = append(w.b, "[]"...) }
 
 // MongoJSON renders MongoDB's explain() document with the winning plan.
 func MongoJSON(p *Plan) (string, error) {
-	qp := map[string]any{
-		"plannerVersion": 1,
-		"rejectedPlans":  []any{},
-	}
-	if p.Root != nil {
-		qp["winningPlan"] = mongoStage(p.Root)
-		if p.Root.Object != "" {
-			qp["namespace"] = "test." + p.Root.Object
-		}
-	}
-	doc := map[string]any{"queryPlanner": qp, "ok": 1}
+	var buf [8]jsonField
+	doc := jsonObject(buf[:0])
+	doc.setNested("queryPlanner", p.Root, mongoQueryPlanner)
+	doc.setValue("ok", 1)
 	for _, pr := range p.PlanProps {
-		doc[pr.Key] = pr.Val
+		doc.setValue(pr.Key, pr.Val)
 	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return "", fmt.Errorf("explain: mongo json: %w", err)
-	}
-	return string(data), nil
+	w := newJSONWriter()
+	w.object(doc, 0)
+	return w.result("mongo")
 }
 
 // Neo4jTable renders Neo4j's plan table (paper Figure 1): planner/runtime
@@ -113,46 +127,57 @@ func Neo4jTable(p *Plan) string {
 	return b.String()
 }
 
-func neo4jNode(n *Node) map[string]any {
-	args := map[string]any{}
+// neo4jNode writes one operator object: its type, its arguments and
+// its children.
+//
+//uplan:hotpath
+func neo4jNode(w *jsonWriter, n *Node, depth int) {
+	var buf [3]jsonField
+	o := jsonObject(buf[:0])
+	o.setString("operatorType", n.Name)
+	o.setNested("arguments", n, neo4jArguments)
+	if len(n.Children) > 0 {
+		o.setNested("children", n, neo4jChildren)
+	}
+	w.object(o, depth)
+}
+
+func neo4jArguments(w *jsonWriter, n *Node, depth int) {
+	var buf [12]jsonField
+	args := jsonObject(buf[:0])
 	for _, pr := range n.Props {
 		switch pr.Key {
 		case "rows":
-			args["EstimatedRows"] = pr.Val
+			args.setValue("EstimatedRows", pr.Val)
 		case "actual_rows":
-			args["Rows"] = pr.Val
+			args.setValue("Rows", pr.Val)
 		default:
-			args[pr.Key] = pr.Val
+			args.setValue(pr.Key, pr.Val)
 		}
 	}
 	if n.Object != "" {
-		args["Details"] = n.Object
+		args.setString("Details", n.Object)
 	}
-	m := map[string]any{"operatorType": n.Name, "arguments": args}
-	if len(n.Children) > 0 {
-		var kids []any
-		for _, c := range n.Children {
-			kids = append(kids, neo4jNode(c))
-		}
-		m["children"] = kids
-	}
-	return m
+	w.object(args, depth)
+}
+
+func neo4jChildren(w *jsonWriter, n *Node, depth int) {
+	w.nodeArray(n, depth, neo4jNode)
 }
 
 // Neo4jJSON renders the plan as the JSON structure Neo4j drivers expose.
 func Neo4jJSON(p *Plan) (string, error) {
-	doc := map[string]any{}
+	var buf [8]jsonField
+	doc := jsonObject(buf[:0])
 	if p.Root != nil {
-		doc["plan"] = neo4jNode(p.Root)
+		doc.setNested("plan", p.Root, neo4jNode)
 	}
 	for _, pr := range p.PlanProps {
-		doc[pr.Key] = pr.Val
+		doc.setValue(pr.Key, pr.Val)
 	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return "", fmt.Errorf("explain: neo4j json: %w", err)
-	}
-	return string(data), nil
+	w := newJSONWriter()
+	w.object(doc, 0)
+	return w.result("neo4j")
 }
 
 // SparkText renders SparkSQL's "== Physical Plan ==" text format.

@@ -1,7 +1,6 @@
 package explain
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 )
@@ -87,59 +86,72 @@ func PostgresText(p *Plan) string {
 	return b.String()
 }
 
-// pgNodeJSON builds the canonical PostgreSQL JSON plan object.
-func pgNodeJSON(n *Node) map[string]any {
-	m := map[string]any{"Node Type": n.Name}
+// pgNodeJSON writes the canonical PostgreSQL JSON plan object; child
+// objects also carry "Parent Relationship".
+//
+//uplan:hotpath
+func pgNodeJSON(w *jsonWriter, n *Node, depth int, child bool) {
+	var buf [16]jsonField
+	o := jsonObject(buf[:0])
+	o.setString("Node Type", n.Name)
 	if n.Object != "" {
-		m["Relation Name"] = n.Object
+		o.setString("Relation Name", n.Object)
 	}
 	for _, pr := range n.Props {
-		switch pr.Key {
+		key := pr.Key
+		switch key {
 		case "startup_cost":
-			m["Startup Cost"] = pr.Val
+			key = "Startup Cost"
 		case "total_cost":
-			m["Total Cost"] = pr.Val
+			key = "Total Cost"
 		case "rows":
-			m["Plan Rows"] = pr.Val
+			key = "Plan Rows"
 		case "width":
-			m["Plan Width"] = pr.Val
+			key = "Plan Width"
 		case "actual_rows":
-			m["Actual Rows"] = pr.Val
+			key = "Actual Rows"
 		case "actual_time_ms":
-			m["Actual Total Time"] = pr.Val
+			key = "Actual Total Time"
 		case "loops":
-			m["Actual Loops"] = pr.Val
-		default:
-			m[pr.Key] = pr.Val
+			key = "Actual Loops"
 		}
+		o.setValue(key, pr.Val)
 	}
 	if len(n.Children) > 0 {
-		var kids []any
-		for _, c := range n.Children {
-			child := pgNodeJSON(c)
-			child["Parent Relationship"] = "Outer"
-			kids = append(kids, child)
-		}
-		m["Plans"] = kids
+		o.setNested("Plans", n, pgPlansJSON)
 	}
-	return m
+	if child {
+		o.setString("Parent Relationship", "Outer")
+	}
+	w.object(o, depth)
 }
+
+func pgPlansJSON(w *jsonWriter, n *Node, depth int) {
+	w.nodeArray(n, depth, pgChildJSON)
+}
+
+func pgChildJSON(w *jsonWriter, n *Node, depth int) { pgNodeJSON(w, n, depth, true) }
+
+func pgRootJSON(w *jsonWriter, n *Node, depth int) { pgNodeJSON(w, n, depth, false) }
 
 // PostgresJSON renders the plan in PostgreSQL's JSON format:
 // a one-element array holding {"Plan": …, "Planning Time": …}.
 func PostgresJSON(p *Plan) (string, error) {
-	top := map[string]any{}
+	var buf [8]jsonField
+	top := jsonObject(buf[:0])
 	if p.Root != nil {
-		top["Plan"] = pgNodeJSON(p.Root)
+		top.setNested("Plan", p.Root, pgRootJSON)
 	}
 	for _, pr := range p.PlanProps {
-		top[pr.Key] = pr.Val
+		top.setValue(pr.Key, pr.Val)
 	}
-	data, err := json.MarshalIndent([]any{top}, "", "  ")
-	if err != nil {
-		return "", fmt.Errorf("explain: postgres json: %w", err)
-	}
-	return string(data), nil
+	w := newJSONWriter()
+	w.b = append(w.b, '[')
+	w.newline(1)
+	w.object(top, 1)
+	w.newline(0)
+	w.b = append(w.b, ']')
+	return w.result("postgres")
 }
 
 // PostgresXML renders the plan in PostgreSQL's XML format.

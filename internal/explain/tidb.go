@@ -1,8 +1,8 @@
 package explain
 
 import (
-	"encoding/json"
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -73,20 +73,15 @@ func toF(v any) float64 {
 	return 0
 }
 
-type tidbJSONNode struct {
-	ID           string         `json:"id"`
-	EstRows      string         `json:"estRows"`
-	ActRows      string         `json:"actRows,omitempty"`
-	TaskType     string         `json:"taskType"`
-	AccessObject string         `json:"accessObject,omitempty"`
-	OperatorInfo string         `json:"operatorInfo,omitempty"`
-	SubOperators []tidbJSONNode `json:"subOperators,omitempty"`
-}
-
-func tidbJSON(n *Node) tidbJSONNode {
+// tidbJSON writes one operator object of TiDB's JSON format. Its members
+// keep TiDB's field order; actRows, accessObject, operatorInfo and
+// subOperators are omitted when empty.
+//
+//uplan:hotpath
+func tidbJSON(w *jsonWriter, n *Node, depth int) {
 	est := ""
 	if r, ok := n.Prop("rows"); ok {
-		est = fmt.Sprintf("%.2f", toF(r))
+		est = strconv.FormatFloat(toF(r), 'f', 2, 64)
 	}
 	task := n.Task
 	if task == "" {
@@ -103,31 +98,52 @@ func tidbJSON(n *Node) tidbJSONNode {
 		obj += "index:" + FormatVal(ix)
 	}
 	info, _ := n.Prop("operator info")
-	out := tidbJSONNode{
-		ID: n.Name, EstRows: est, TaskType: task,
-		AccessObject: obj, OperatorInfo: FormatVal(info),
+	member := func(key, val string) {
+		w.b = append(w.b, ',')
+		w.newline(depth + 1)
+		w.key(key)
+		w.b = appendJSONString(w.b, val)
 	}
+	w.b = append(w.b, '{')
+	w.newline(depth + 1)
+	w.key("id")
+	w.b = appendJSONString(w.b, n.Name)
+	member("estRows", est)
 	if ar, ok := n.Prop("actual_rows"); ok {
-		out.ActRows = FormatVal(ar)
+		if s := FormatVal(ar); s != "" {
+			member("actRows", s)
+		}
 	}
-	for _, c := range n.Children {
-		out.SubOperators = append(out.SubOperators, tidbJSON(c))
+	member("taskType", task)
+	if obj != "" {
+		member("accessObject", obj)
 	}
-	return out
+	if s := FormatVal(info); s != "" {
+		member("operatorInfo", s)
+	}
+	if len(n.Children) > 0 {
+		w.b = append(w.b, ',')
+		w.newline(depth + 1)
+		w.key("subOperators")
+		w.nodeArray(n, depth+1, tidbJSON)
+	}
+	w.newline(depth)
+	w.b = append(w.b, '}')
 }
 
 // TiDBJSON renders TiDB's EXPLAIN FORMAT="tidb_json" output: an array with
 // the operator tree.
 func TiDBJSON(p *Plan) (string, error) {
-	var arr []tidbJSONNode
-	if p.Root != nil {
-		arr = append(arr, tidbJSON(p.Root))
+	if p.Root == nil {
+		return "null", nil
 	}
-	data, err := json.MarshalIndent(arr, "", "  ")
-	if err != nil {
-		return "", fmt.Errorf("explain: tidb json: %w", err)
-	}
-	return string(data), nil
+	w := newJSONWriter()
+	w.b = append(w.b, '[')
+	w.newline(1)
+	tidbJSON(w, p.Root, 1)
+	w.newline(0)
+	w.b = append(w.b, ']')
+	return string(w.b), nil
 }
 
 // SQLiteText renders SQLite's EXPLAIN QUERY PLAN output (paper Listing 1):

@@ -16,6 +16,7 @@ import (
 	"uplan/internal/dbms"
 	"uplan/internal/exec"
 	"uplan/internal/oracle"
+	"uplan/internal/sql"
 	"uplan/internal/sqlancer"
 	"uplan/internal/tlp"
 )
@@ -175,10 +176,10 @@ func (c *Campaign) Run(opts Options) []Finding {
 		if c.Tick != nil && !c.Tick(c.QueriesRun) {
 			break
 		}
-		query := c.Gen.Query()
+		q := parse(c.Gen.Query())
 		c.QueriesRun++
 		// 1. Plan guidance: observe the unified plan of the query.
-		fresh, ok := c.observePlan(query)
+		fresh, ok := c.observePlan(q)
 		if ok {
 			c.PlansObserved++
 		}
@@ -189,7 +190,7 @@ func (c *Campaign) Run(opts Options) []Finding {
 			stall++
 		}
 		// 2. Oracles.
-		c.checkDifferential(query)
+		c.differential(q)
 		table, pred := c.Gen.PartitionableQuery()
 		c.checkTLP(table, pred)
 		// 3. Mutate the database when plan coverage stalls.
@@ -201,11 +202,41 @@ func (c *Campaign) Run(opts Options) []Finding {
 	return c.Findings
 }
 
+// query is a generated query text parsed once for every engine call made
+// with it: the target's EXPLAIN and both engines' executions.
+type query struct {
+	text string
+	stmt sql.Statement // nil when text does not parse
+}
+
+func parse(text string) query {
+	// A parse error needs no handling here: with stmt nil, the string
+	// entry points fail on the text with that same error and count the
+	// statement, as they do for any caller.
+	stmt, _ := sql.Parse(text)
+	return query{text: text, stmt: stmt}
+}
+
+func (q query) explain(e *dbms.Engine) (string, error) {
+	if q.stmt == nil {
+		return e.Explain(q.text, e.DefaultFormat())
+	}
+	return e.ExplainStmt(q.stmt, e.DefaultFormat())
+}
+
+func (q query) execute(e *dbms.Engine) (*exec.Result, error) {
+	if q.stmt == nil {
+		return e.Execute(q.text)
+	}
+	return e.ExecuteStmt(q.stmt)
+}
+
 // observePlan converts the engine's serialized plan to the unified
 // representation and records its fingerprint. The second result is false
 // when the plan could not be obtained.
-func (c *Campaign) observePlan(query string) (fresh, ok bool) {
-	serialized, err := c.Engine.Explain(query, c.Engine.DefaultFormat())
+func (c *Campaign) observePlan(q query) (fresh, ok bool) {
+	query := q.text
+	serialized, err := q.explain(c.Engine)
 	if err != nil {
 		c.report(KindCrash, query, "EXPLAIN failed: "+err.Error())
 		return false, false
@@ -224,9 +255,14 @@ func (c *Campaign) observePlan(query string) (fresh, ok bool) {
 	return c.Plans.Observe(plan), true
 }
 
-func (c *Campaign) checkDifferential(query string) {
-	got, err1 := c.Engine.Execute(query)
-	want, err2 := c.Reference.Execute(query)
+func (c *Campaign) checkDifferential(query string) { c.differential(parse(query)) }
+
+// differential runs the query on target and reference and reports any
+// asymmetric failure or result difference.
+func (c *Campaign) differential(q query) {
+	query := q.text
+	got, err1 := q.execute(c.Engine)
+	want, err2 := q.execute(c.Reference)
 	switch {
 	case err1 != nil && err2 == nil:
 		c.report(KindCrash, query, err1.Error())
@@ -292,9 +328,9 @@ func (c *Campaign) mutate() {
 	}
 	// After a mutation, update-path defects surface as data divergence.
 	for _, t := range c.Gen.Tables {
-		q := "SELECT * FROM " + t.Name
-		got, err1 := c.Engine.Execute(q)
-		want, err2 := c.Reference.Execute(q)
+		q := parse("SELECT * FROM " + t.Name)
+		got, err1 := q.execute(c.Engine)
+		want, err2 := q.execute(c.Reference)
 		if err1 == nil && err2 == nil {
 			if diff := tlp.CompareResults(got, want); diff != "" {
 				c.report(KindLogic, stmt, "state divergence after mutation: "+diff)

@@ -176,16 +176,31 @@ func (t *Table) Update(rowID int, row Row) error {
 	if len(row) != len(t.Def.Columns) {
 		return fmt.Errorf("storage: row width mismatch")
 	}
-	for _, ix := range t.indexes {
-		ix.remove(t.rows[rowID], rowID)
-	}
+	old := t.rows[rowID]
 	t.rows[rowID] = append(Row(nil), row...)
 	for _, ix := range t.indexes {
+		if ix.sameKey(old, row) {
+			// Removing and re-inserting an unchanged key would put back
+			// the same entry at the same position.
+			continue
+		}
+		ix.remove(old, rowID)
 		if err := ix.insert(t.rows[rowID], rowID); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// sameKey reports whether two rows hold identical values in the index's
+// columns.
+func (ix *Index) sameKey(a, b Row) bool {
+	for _, c := range ix.colIdx {
+		if a[c] != b[c] {
+			return false
+		}
+	}
+	return true
 }
 
 // RowCount returns the number of live rows.

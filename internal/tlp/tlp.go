@@ -5,7 +5,9 @@
 package tlp
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -73,6 +75,9 @@ func multisetDiff(a, b [][]datum.D) string {
 	if len(a) != len(b) {
 		return fmt.Sprintf("cardinality %d vs %d", len(a), len(b))
 	}
+	if provablyEqual(a, b) {
+		return ""
+	}
 	ka := sortedKeys(a)
 	kb := sortedKeys(b)
 	for i := range ka {
@@ -81,6 +86,56 @@ func multisetDiff(a, b [][]datum.D) string {
 		}
 	}
 	return ""
+}
+
+// rowHash is datum.RowHash; tests swap it to force collisions.
+var rowHash = datum.RowHash
+
+// hashedRow pairs a row with its hash for provablyEqual's sort.
+type hashedRow struct {
+	h   uint64
+	row []datum.D
+}
+
+// provablyEqual is the fast path of the multiset comparisons: it sorts
+// both equal-length sides by row hash and compares them pairwise with
+// RowKey semantics. It returns true only when that pairing proves the
+// multisets equal. False means "not proven" — unequal sides, or equal
+// ones the hash order failed to align — and sends the caller down the
+// RowKey path, which decides and words every difference.
+//
+//uplan:hotpath
+func provablyEqual(a, b [][]datum.D) bool {
+	hs := make([]hashedRow, len(a)+len(b))
+	ha, hb := hs[:len(a)], hs[len(a):]
+	for i, r := range a {
+		ha[i] = hashedRow{rowHash(r), r}
+	}
+	for i, r := range b {
+		hb[i] = hashedRow{rowHash(r), r}
+	}
+	byHash := func(x, y hashedRow) int { return cmp.Compare(x.h, y.h) }
+	slices.SortFunc(ha, byHash)
+	slices.SortFunc(hb, byHash)
+	for i := range ha {
+		if ha[i].h != hb[i].h || !rowsKeyEqual(ha[i].row, hb[i].row) {
+			return false
+		}
+	}
+	return true
+}
+
+// rowsKeyEqual reports whether two rows have the same RowKey.
+func rowsKeyEqual(x, y []datum.D) bool {
+	if len(x) != len(y) {
+		return false
+	}
+	for i := range x {
+		if !datum.KeyEqual(x[i], y[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 func sortedKeys(rows [][]datum.D) []string {
@@ -99,6 +154,9 @@ func sortedKeys(rows [][]datum.D) []string {
 func CompareResults(a, b *exec.Result) string {
 	if len(a.Rows) != len(b.Rows) {
 		return fmt.Sprintf("row counts differ: %d vs %d", len(a.Rows), len(b.Rows))
+	}
+	if provablyEqual(a.Rows, b.Rows) {
+		return ""
 	}
 	ka := sortedKeys(a.Rows)
 	kb := sortedKeys(b.Rows)
