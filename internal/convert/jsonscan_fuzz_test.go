@@ -47,10 +47,10 @@ func FuzzJSONScan(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, s string) {
 		// The raw scanner must consume or reject any input.
-		sc := newJSONScan(s)
-		if err := sc.skipValue(); err == nil {
+		sc := newJSONScan(s, nil)
+		if err := sc.SkipValue(); err == nil {
 			// A valid value must also survive scalar materialization.
-			sc2 := newJSONScan(s)
+			sc2 := newJSONScan(s, nil)
 			if _, err := sc2.scanValue(); err != nil {
 				t.Fatalf("skipValue accepted %q but scanValue rejected it: %v", s, err)
 			}

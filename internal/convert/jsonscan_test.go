@@ -35,7 +35,7 @@ func TestJSONScanScalars(t *testing.T) {
 		{"{\n  \"a\": \"x y\",\n  \"b\": [true]\n}", core.Str(`{"a":"x y","b":[true]}`)},
 	}
 	for _, c := range cases {
-		sc := newJSONScan(c.in)
+		sc := newJSONScan(c.in, nil)
 		got, err := sc.scanValue()
 		if err != nil {
 			t.Errorf("scanValue(%q): %v", c.in, err)
@@ -56,19 +56,19 @@ func TestJSONScanMalformed(t *testing.T) {
 		strings.Repeat("[", 20000),
 	}
 	for _, s := range bad {
-		sc := newJSONScan(s)
-		if err := sc.skipValue(); err == nil {
+		sc := newJSONScan(s, nil)
+		if err := sc.SkipValue(); err == nil {
 			t.Errorf("skipValue(%.20q): expected error", s)
 		}
 	}
 }
 
 func TestJSONScanObjectWalk(t *testing.T) {
-	sc := newJSONScan(`{"a": 1, "b": {"c": [true, null]}, "d": "x"}`)
+	sc := newJSONScan(`{"a": 1, "b": {"c": [true, null]}, "d": "x"}`, nil)
 	var keys []string
-	err := sc.scanObject(func(key string) error {
+	err := sc.ScanObject(func(key string) error {
 		keys = append(keys, key)
-		return sc.skipValue()
+		return sc.SkipValue()
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -100,8 +100,8 @@ func TestTiDBJSONRejectsTrailingGarbage(t *testing.T) {
 func TestJSONScanKeysDoNotAllocate(t *testing.T) {
 	in := `"plain key"`
 	if avg := testing.AllocsPerRun(200, func() {
-		sc := newJSONScan(in)
-		if _, err := sc.scanString(); err != nil {
+		sc := newJSONScan(in, nil)
+		if _, err := sc.ScanString(); err != nil {
 			t.Fatal(err)
 		}
 	}); avg != 0 {

@@ -14,10 +14,10 @@ import (
 // MongoDB explain JSON, Neo4j JSON, and SQL Server showplan XML.
 //
 // The JSON formats decode through the streaming jsonScan walker (see
-// jsonscan.go): object keys drive core.Node construction directly, with
-// no intermediate map[string]any / []any trees, and every node, property
-// list, and child list is allocated from the caller's core.PlanArena
-// (nil arena → heap). The retained map-based decoders live in
+// jsonscan.go and internal/jsontext): object keys drive core.Node
+// construction directly, with no intermediate map[string]any / []any
+// trees, and every node, property list, and child list is allocated from
+// the caller's core.PlanArena (nil arena → heap). The retained map-based decoders live in
 // jsonlegacy.go and serve as the reference implementation for the
 // differential tests.
 
@@ -35,14 +35,13 @@ var errPGArrayElement = errors.New("convert: postgres json: unexpected array ele
 
 //uplan:hotpath
 func (c *postgresConverter) convertJSON(s string, ar *core.PlanArena) (*core.Plan, error) {
-	sc := newJSONScan(s)
-	sc.ar = ar
+	sc := newJSONScan(s, ar)
 	plan := &core.Plan{Source: "postgresql"}
 	scanTop := func() error {
-		return sc.scanObject(func(key string) error {
+		return sc.ScanObject(func(key string) error {
 			if key == "Plan" {
-				if sc.peek() != '{' {
-					return sc.skipValue()
+				if sc.Peek() != '{' {
+					return sc.SkipValue()
 				}
 				root, err := c.scanJSONNode(&sc, ar)
 				if err != nil {
@@ -61,14 +60,14 @@ func (c *postgresConverter) convertJSON(s string, ar *core.PlanArena) (*core.Pla
 		})
 	}
 	// Accept both the canonical one-element array and a bare object.
-	switch sc.peek() {
+	switch sc.Peek() {
 	case '[':
 		seen := false
-		err := sc.scanArray(func(i int) error {
+		err := sc.ScanArray(func(i int) error {
 			if i > 0 {
-				return sc.skipValue()
+				return sc.SkipValue()
 			}
-			if sc.peek() != '{' {
+			if sc.Peek() != '{' {
 				return errPGArrayElement
 			}
 			seen = true
@@ -105,10 +104,10 @@ func (c *postgresConverter) scanJSONNode(sc *jsonScan, ar *core.PlanArena) (*cor
 		addTypedProp(ar, node, cat, name, v)
 		return nil
 	}
-	err := sc.scanObject(func(key string) error {
+	err := sc.ScanObject(func(key string) error {
 		switch key {
 		case "Node Type":
-			name, ok, err := sc.scanStringValue()
+			name, ok, err := sc.ScanStringValue()
 			if err != nil {
 				return err
 			}
@@ -118,12 +117,12 @@ func (c *postgresConverter) scanJSONNode(sc *jsonScan, ar *core.PlanArena) (*cor
 			}
 			return nil
 		case "Plans":
-			if sc.peek() != '[' {
-				return sc.skipValue()
+			if sc.Peek() != '[' {
+				return sc.SkipValue()
 			}
-			return sc.scanArray(func(int) error {
-				if sc.peek() != '{' {
-					return sc.skipValue()
+			return sc.ScanArray(func(int) error {
+				if sc.Peek() != '{' {
+					return sc.SkipValue()
 				}
 				child, err := c.scanJSONNode(sc, ar)
 				if err != nil {
@@ -312,24 +311,23 @@ func (c *postgresConverter) convertYAML(s string, ar *core.PlanArena) (*core.Pla
 
 //uplan:hotpath
 func (c *mysqlConverter) convertJSON(s string, ar *core.PlanArena) (*core.Plan, error) {
-	sc := newJSONScan(s)
-	sc.ar = ar
+	sc := newJSONScan(s, ar)
 	plan := &core.Plan{Source: "mysql"}
 	foundQB := false
-	err := sc.scanObject(func(key string) error {
-		if key != "query_block" || sc.peek() != '{' {
-			return sc.skipValue()
+	err := sc.ScanObject(func(key string) error {
+		if key != "query_block" || sc.Peek() != '{' {
+			return sc.SkipValue()
 		}
 		foundQB = true
-		return sc.scanObject(func(qk string) error {
+		return sc.ScanObject(func(qk string) error {
 			switch qk {
 			case "cost_info":
-				if sc.peek() != '{' {
-					return sc.skipValue()
+				if sc.Peek() != '{' {
+					return sc.SkipValue()
 				}
-				return sc.scanObject(func(ck string) error {
+				return sc.ScanObject(func(ck string) error {
 					if ck != "query_cost" {
-						return sc.skipValue()
+						return sc.SkipValue()
 					}
 					v, err := sc.scanValue()
 					if err != nil {
@@ -339,8 +337,8 @@ func (c *mysqlConverter) convertJSON(s string, ar *core.PlanArena) (*core.Plan, 
 					return nil
 				})
 			case "plan":
-				if sc.peek() != '{' {
-					return sc.skipValue()
+				if sc.Peek() != '{' {
+					return sc.SkipValue()
 				}
 				root, err := c.scanJSONNode(&sc, ar)
 				if err != nil {
@@ -349,7 +347,7 @@ func (c *mysqlConverter) convertJSON(s string, ar *core.PlanArena) (*core.Plan, 
 				plan.Root = root
 				return nil
 			default:
-				return sc.skipValue()
+				return sc.SkipValue()
 			}
 		})
 	})
@@ -375,10 +373,10 @@ func addPlanPropTyped(ar *core.PlanArena, p *core.Plan, cat core.PropertyCategor
 func (c *mysqlConverter) scanJSONNode(sc *jsonScan, ar *core.PlanArena) (*core.Node, error) {
 	node := newJSONNodeIn(ar)
 	sawOp := false
-	err := sc.scanObject(func(key string) error {
+	err := sc.ScanObject(func(key string) error {
 		switch key {
 		case "operation":
-			title, ok, err := sc.scanStringValue()
+			title, ok, err := sc.ScanStringValue()
 			if err != nil || !ok {
 				return err
 			}
@@ -386,10 +384,10 @@ func (c *mysqlConverter) scanJSONNode(sc *jsonScan, ar *core.PlanArena) (*core.N
 			sawOp = true
 			return nil
 		case "cost_info":
-			if sc.peek() != '{' {
-				return sc.skipValue()
+			if sc.Peek() != '{' {
+				return sc.SkipValue()
 			}
-			return sc.scanObject(func(ck string) error {
+			return sc.ScanObject(func(ck string) error {
 				v, err := sc.scanValue()
 				if err != nil {
 					return err
@@ -399,12 +397,12 @@ func (c *mysqlConverter) scanJSONNode(sc *jsonScan, ar *core.PlanArena) (*core.N
 				return nil
 			})
 		case "inputs":
-			if sc.peek() != '[' {
-				return sc.skipValue()
+			if sc.Peek() != '[' {
+				return sc.SkipValue()
 			}
-			return sc.scanArray(func(int) error {
-				if sc.peek() != '{' {
-					return sc.skipValue()
+			return sc.ScanArray(func(int) error {
+				if sc.Peek() != '{' {
+					return sc.SkipValue()
 				}
 				child, err := c.scanJSONNode(sc, ar)
 				if err != nil {
@@ -460,13 +458,12 @@ type tidbJSONFields struct {
 
 //uplan:hotpath
 func (c *tidbConverter) convertJSON(s string, ar *core.PlanArena) (*core.Plan, error) {
-	sc := newJSONScan(s)
-	sc.ar = ar
+	sc := newJSONScan(s, ar)
 	var root *core.Node
-	switch sc.peek() {
+	switch sc.Peek() {
 	case '[':
 		seen := false
-		err := sc.scanArray(func(i int) error {
+		err := sc.ScanArray(func(i int) error {
 			// Only element 0 becomes the plan, but every element is
 			// decoded: the legacy json.Unmarshal reference type-checked
 			// the whole array, and skipping would accept documents it
@@ -497,7 +494,7 @@ func (c *tidbConverter) convertJSON(s string, ar *core.PlanArena) (*core.Plan, e
 	}
 	// The legacy decoder was json.Unmarshal, which rejects trailing
 	// garbage; keep that strictness.
-	if err := sc.requireEOF(); err != nil {
+	if err := sc.RequireEOF(); err != nil {
 		return nil, fmt.Errorf("convert: tidb json: %w", err)
 	}
 	plan := &core.Plan{Source: "tidb"}
@@ -510,10 +507,10 @@ func (c *tidbConverter) scanJSONNode(sc *jsonScan, ar *core.PlanArena) (*core.No
 	var in tidbJSONFields
 	var children []*core.Node
 	strField := func(dst *string) error {
-		if sc.peek() == 'n' { // JSON null leaves the field empty, like Unmarshal
-			return sc.scanLiteral("null")
+		if sc.Peek() == 'n' { // JSON null leaves the field empty, like Unmarshal
+			return sc.ScanLiteral("null")
 		}
-		v, ok, err := sc.scanStringValue()
+		v, ok, err := sc.ScanStringValue()
 		if err != nil {
 			return err
 		}
@@ -523,7 +520,7 @@ func (c *tidbConverter) scanJSONNode(sc *jsonScan, ar *core.PlanArena) (*core.No
 		*dst = v
 		return nil
 	}
-	err := sc.scanObject(func(key string) error {
+	err := sc.ScanObject(func(key string) error {
 		switch key {
 		case "id":
 			return strField(&in.ID)
@@ -538,10 +535,10 @@ func (c *tidbConverter) scanJSONNode(sc *jsonScan, ar *core.PlanArena) (*core.No
 		case "operatorInfo":
 			return strField(&in.OperatorInfo)
 		case "subOperators":
-			if sc.peek() == 'n' {
-				return sc.scanLiteral("null")
+			if sc.Peek() == 'n' {
+				return sc.ScanLiteral("null")
 			}
-			return sc.scanArray(func(int) error {
+			return sc.ScanArray(func(int) error {
 				child, err := c.scanJSONNode(sc, ar)
 				if err != nil {
 					return err
@@ -550,7 +547,7 @@ func (c *tidbConverter) scanJSONNode(sc *jsonScan, ar *core.PlanArena) (*core.No
 				return nil
 			})
 		default:
-			return sc.skipValue()
+			return sc.SkipValue()
 		}
 	})
 	if err != nil {
@@ -602,18 +599,17 @@ func (c *mongoConverter) Convert(s string) (*core.Plan, error) {
 
 //uplan:hotpath
 func (c *mongoConverter) ConvertIn(s string, ar *core.PlanArena) (*core.Plan, error) {
-	sc := newJSONScan(s)
-	sc.ar = ar
+	sc := newJSONScan(s, ar)
 	plan := &core.Plan{Source: "mongodb"}
 	foundQP := false
-	err := sc.scanObject(func(key string) error {
+	err := sc.ScanObject(func(key string) error {
 		switch key {
 		case "queryPlanner":
-			if sc.peek() != '{' {
-				return sc.skipValue()
+			if sc.Peek() != '{' {
+				return sc.SkipValue()
 			}
 			foundQP = true
-			return sc.scanObject(func(qk string) error {
+			return sc.ScanObject(func(qk string) error {
 				switch qk {
 				case "namespace":
 					v, err := sc.scanValue()
@@ -623,8 +619,8 @@ func (c *mongoConverter) ConvertIn(s string, ar *core.PlanArena) (*core.Plan, er
 					addPlanPropTyped(ar, plan, core.Configuration, "name object", v)
 					return nil
 				case "winningPlan":
-					if sc.peek() != '{' {
-						return sc.skipValue()
+					if sc.Peek() != '{' {
+						return sc.SkipValue()
 					}
 					root, err := c.scanStage(&sc, ar)
 					if err != nil {
@@ -633,14 +629,14 @@ func (c *mongoConverter) ConvertIn(s string, ar *core.PlanArena) (*core.Plan, er
 					plan.Root = root
 					return nil
 				default:
-					return sc.skipValue()
+					return sc.SkipValue()
 				}
 			})
 		case "executionStats":
-			if sc.peek() != '{' {
-				return sc.skipValue()
+			if sc.Peek() != '{' {
+				return sc.SkipValue()
 			}
-			return sc.scanObject(func(ek string) error {
+			return sc.ScanObject(func(ek string) error {
 				v, err := sc.scanValue()
 				if err != nil {
 					return err
@@ -650,7 +646,7 @@ func (c *mongoConverter) ConvertIn(s string, ar *core.PlanArena) (*core.Plan, er
 				return nil
 			})
 		default:
-			return sc.skipValue()
+			return sc.SkipValue()
 		}
 	})
 	if err != nil {
@@ -673,10 +669,10 @@ func (c *mongoConverter) scanStage(sc *jsonScan, ar *core.PlanArena) (*core.Node
 	// document's key order (the legacy decoder's fixed attachment order).
 	var first *core.Node
 	var rest []*core.Node
-	err := sc.scanObject(func(key string) error {
+	err := sc.ScanObject(func(key string) error {
 		switch key {
 		case "stage":
-			name, ok, err := sc.scanStringValue()
+			name, ok, err := sc.ScanStringValue()
 			if err != nil {
 				return err
 			}
@@ -686,8 +682,8 @@ func (c *mongoConverter) scanStage(sc *jsonScan, ar *core.PlanArena) (*core.Node
 			}
 			return nil
 		case "inputStage":
-			if sc.peek() != '{' {
-				return sc.skipValue()
+			if sc.Peek() != '{' {
+				return sc.SkipValue()
 			}
 			child, err := c.scanStage(sc, ar)
 			if err != nil {
@@ -696,12 +692,12 @@ func (c *mongoConverter) scanStage(sc *jsonScan, ar *core.PlanArena) (*core.Node
 			first = child
 			return nil
 		case "inputStages":
-			if sc.peek() != '[' {
-				return sc.skipValue()
+			if sc.Peek() != '[' {
+				return sc.SkipValue()
 			}
-			return sc.scanArray(func(int) error {
-				if sc.peek() != '{' {
-					return sc.skipValue()
+			return sc.ScanArray(func(int) error {
+				if sc.Peek() != '{' {
+					return sc.SkipValue()
 				}
 				child, err := c.scanStage(sc, ar)
 				if err != nil {
@@ -746,13 +742,12 @@ func (c *mongoConverter) scanStage(sc *jsonScan, ar *core.PlanArena) (*core.Node
 
 //uplan:hotpath
 func (c *neo4jConverter) convertJSON(s string, ar *core.PlanArena) (*core.Plan, error) {
-	sc := newJSONScan(s)
-	sc.ar = ar
+	sc := newJSONScan(s, ar)
 	plan := &core.Plan{Source: "neo4j"}
-	err := sc.scanObject(func(key string) error {
+	err := sc.ScanObject(func(key string) error {
 		if key == "plan" {
-			if sc.peek() != '{' {
-				return sc.skipValue()
+			if sc.Peek() != '{' {
+				return sc.SkipValue()
 			}
 			root, err := c.scanJSONNode(&sc, ar)
 			if err != nil {
@@ -782,10 +777,10 @@ func (c *neo4jConverter) convertJSON(s string, ar *core.PlanArena) (*core.Plan, 
 func (c *neo4jConverter) scanJSONNode(sc *jsonScan, ar *core.PlanArena) (*core.Node, error) {
 	node := newJSONNodeIn(ar)
 	sawOp := false
-	err := sc.scanObject(func(key string) error {
+	err := sc.ScanObject(func(key string) error {
 		switch key {
 		case "operatorType":
-			name, ok, err := sc.scanStringValue()
+			name, ok, err := sc.ScanStringValue()
 			if err != nil {
 				return err
 			}
@@ -795,10 +790,10 @@ func (c *neo4jConverter) scanJSONNode(sc *jsonScan, ar *core.PlanArena) (*core.N
 			}
 			return nil
 		case "arguments":
-			if sc.peek() != '{' {
-				return sc.skipValue()
+			if sc.Peek() != '{' {
+				return sc.SkipValue()
 			}
-			return sc.scanObject(func(ak string) error {
+			return sc.ScanObject(func(ak string) error {
 				v, err := sc.scanValue()
 				if err != nil {
 					return err
@@ -815,12 +810,12 @@ func (c *neo4jConverter) scanJSONNode(sc *jsonScan, ar *core.PlanArena) (*core.N
 				return nil
 			})
 		case "children":
-			if sc.peek() != '[' {
-				return sc.skipValue()
+			if sc.Peek() != '[' {
+				return sc.SkipValue()
 			}
-			return sc.scanArray(func(int) error {
-				if sc.peek() != '{' {
-					return sc.skipValue()
+			return sc.ScanArray(func(int) error {
+				if sc.Peek() != '{' {
+					return sc.SkipValue()
 				}
 				child, err := c.scanJSONNode(sc, ar)
 				if err != nil {
@@ -830,7 +825,7 @@ func (c *neo4jConverter) scanJSONNode(sc *jsonScan, ar *core.PlanArena) (*core.N
 				return nil
 			})
 		default:
-			return sc.skipValue()
+			return sc.SkipValue()
 		}
 	})
 	if err != nil {

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+
+	"uplan/internal/jsontext"
 )
 
 // This file implements the structured JSON format of the unified query plan
@@ -53,84 +55,121 @@ type jsonProperty struct {
 
 // MarshalJSON implements json.Marshaler for Plan.
 func (p *Plan) MarshalJSON() ([]byte, error) {
-	return json.Marshal(p.toJSON())
+	// Typical plans run to a few KiB; starting at 1 KiB skips the small
+	// regrowths.
+	return p.AppendJSON(make([]byte, 0, 1024)), nil
 }
 
 // MarshalJSONIndent renders the plan as indented JSON.
 func (p *Plan) MarshalJSONIndent() ([]byte, error) {
-	return json.MarshalIndent(p.toJSON(), "", "  ")
+	var buf bytes.Buffer
+	if err := json.Indent(&buf, p.AppendJSON(nil), "", "  "); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
-func (p *Plan) toJSON() jsonPlan {
-	jp := jsonPlan{Source: p.Source, Properties: propsToJSON(p.Properties)}
-	var conv func(n *Node) *jsonNode
-	conv = func(n *Node) *jsonNode {
-		if n == nil {
-			return nil
-		}
-		jn := &jsonNode{
-			Operation:  jsonOperation{Category: string(n.Op.Category), Name: n.Op.Name},
-			Properties: propsToJSON(n.Properties),
-		}
-		for _, c := range n.Children {
-			jn.Children = append(jn.Children, conv(c))
-		}
-		return jn
+// AppendJSON appends the plan's compact canonical JSON to dst and returns
+// the extended slice. The bytes are exactly what json.Marshal produces
+// for the jsonPlan tree above: the omitempty fields dropped when empty,
+// encoding/json's float format with NaN and the infinities written as
+// null, and its HTML-safe string escaping. It allocates nothing when dst
+// has room.
+//
+//uplan:hotpath
+func (p *Plan) AppendJSON(dst []byte) []byte {
+	dst = append(dst, '{')
+	sep := false
+	if p.Source != "" {
+		dst = append(dst, `"source":`...)
+		dst = jsontext.AppendString(dst, p.Source)
+		sep = true
 	}
-	jp.Tree = conv(p.Root)
-	return jp
+	if p.Root != nil {
+		if sep {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `"tree":`...)
+		dst = appendNodeJSON(dst, p.Root)
+		sep = true
+	}
+	if len(p.Properties) > 0 {
+		if sep {
+			dst = append(dst, ',')
+		}
+		dst = appendPropsJSON(dst, p.Properties)
+	}
+	return append(dst, '}')
 }
 
-func propsToJSON(props []Property) []jsonProperty {
-	if len(props) == 0 {
-		return nil
+// appendNodeJSON writes one node; a nil child is written as null, as the
+// reflective encoder writes a nil *jsonNode.
+//
+//uplan:hotpath
+func appendNodeJSON(dst []byte, n *Node) []byte {
+	if n == nil {
+		return append(dst, "null"...)
 	}
-	out := make([]jsonProperty, 0, len(props))
-	for _, pr := range props {
-		out = append(out, jsonProperty{
-			Category: string(pr.Category),
-			Name:     pr.Name,
-			Value:    valueToRaw(pr.Value),
-		})
+	dst = append(dst, `{"operation":{"category":`...)
+	dst = jsontext.AppendString(dst, string(n.Op.Category))
+	dst = append(dst, `,"name":`...)
+	dst = jsontext.AppendString(dst, n.Op.Name)
+	dst = append(dst, '}')
+	if len(n.Properties) > 0 {
+		dst = append(dst, ',')
+		dst = appendPropsJSON(dst, n.Properties)
 	}
-	return out
+	if len(n.Children) > 0 {
+		dst = append(dst, `,"children":[`...)
+		for i, c := range n.Children {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendNodeJSON(dst, c)
+		}
+		dst = append(dst, ']')
+	}
+	return append(dst, '}')
 }
 
-// valueToRaw encodes a scalar Value as raw JSON without boxing it through
-// an interface and the reflective encoder. Strings still go through
-// json.Marshal for correct escaping; non-finite numbers degrade to empty
-// raw (decoded as null), matching the old swallowed-error behavior.
-func valueToRaw(v Value) json.RawMessage {
+// appendPropsJSON writes a non-empty "properties" member.
+//
+//uplan:hotpath
+func appendPropsJSON(dst []byte, props []Property) []byte {
+	dst = append(dst, `"properties":[`...)
+	for i := range props {
+		pr := &props[i]
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"category":`...)
+		dst = jsontext.AppendString(dst, string(pr.Category))
+		dst = append(dst, `,"name":`...)
+		dst = jsontext.AppendString(dst, pr.Name)
+		dst = append(dst, `,"value":`...)
+		dst = appendValueJSON(dst, pr.Value)
+		dst = append(dst, '}')
+	}
+	return append(dst, ']')
+}
+
+// appendValueJSON writes a scalar Value. Non-finite numbers, which
+// encoding/json rejects, become null.
+//
+//uplan:hotpath
+func appendValueJSON(dst []byte, v Value) []byte {
 	switch v.Kind {
 	case KindString:
-		raw, _ := json.Marshal(v.Str)
-		return raw
+		return jsontext.AppendString(dst, v.Str)
 	case KindNumber:
 		if math.IsNaN(v.Num) || math.IsInf(v.Num, 0) {
-			return nil
+			return append(dst, "null"...)
 		}
-		// Mirror encoding/json's float encoding byte-for-byte: 'f' form in
-		// the human range, 'e' with a compacted exponent outside it.
-		abs := math.Abs(v.Num)
-		format := byte('f')
-		if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-			format = 'e'
-		}
-		b := strconv.AppendFloat(nil, v.Num, format, -1, 64)
-		if format == 'e' {
-			if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-				b[n-2] = b[n-1]
-				b = b[:n-1]
-			}
-		}
-		return b
+		return jsontext.AppendFloat(dst, v.Num)
 	case KindBool:
-		if v.Bool {
-			return json.RawMessage("true")
-		}
-		return json.RawMessage("false")
+		return strconv.AppendBool(dst, v.Bool)
 	default:
-		return json.RawMessage("null")
+		return append(dst, "null"...)
 	}
 }
 

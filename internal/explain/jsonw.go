@@ -8,7 +8,8 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
-	"unicode/utf8"
+
+	"uplan/internal/jsontext"
 )
 
 // The JSON formats are written by appending to one byte slice. The output
@@ -104,7 +105,7 @@ func (w *jsonWriter) object(o jsonObject, depth int) {
 		w.key(o[i].key)
 		switch o[i].kind {
 		case fieldString:
-			w.b = appendJSONString(w.b, o[i].str)
+			w.b = jsontext.AppendString(w.b, o[i].str)
 		case fieldValue:
 			w.value(o[i].val, depth+1)
 		case fieldNested:
@@ -138,7 +139,7 @@ func (w *jsonWriter) newline(depth int) {
 }
 
 func (w *jsonWriter) key(k string) {
-	w.b = appendJSONString(w.b, k)
+	w.b = jsontext.AppendString(w.b, k)
 	w.b = append(w.b, ':', ' ')
 }
 
@@ -151,7 +152,7 @@ func (w *jsonWriter) value(v any, depth int) {
 	case nil:
 		w.b = append(w.b, "null"...)
 	case string:
-		w.b = appendJSONString(w.b, t)
+		w.b = jsontext.AppendString(w.b, t)
 	case bool:
 		w.b = strconv.AppendBool(w.b, t)
 	case int:
@@ -161,18 +162,24 @@ func (w *jsonWriter) value(v any, depth int) {
 	case float64:
 		w.float(t)
 	default:
-		data, err := json.Marshal(t)
-		if err != nil {
-			w.fail(err)
-			return
-		}
-		var buf bytes.Buffer
-		if err := json.Indent(&buf, data, strings.Repeat("  ", depth), "  "); err != nil {
-			w.fail(err)
-			return
-		}
-		w.b = append(w.b, buf.Bytes()...)
+		w.marshal(t, depth)
 	}
+}
+
+// marshal writes a value of a type the shapers do not produce through
+// encoding/json, indented to depth. It is the writer's cold path.
+func (w *jsonWriter) marshal(v any, depth int) {
+	data, err := json.Marshal(v)
+	if err != nil {
+		w.fail(err)
+		return
+	}
+	var buf bytes.Buffer
+	if err := json.Indent(&buf, data, strings.Repeat("  ", depth), "  "); err != nil {
+		w.fail(err)
+		return
+	}
+	w.b = append(w.b, buf.Bytes()...)
 }
 
 // float formats like encoding/json: ES6 number style, and an
@@ -182,83 +189,11 @@ func (w *jsonWriter) float(f float64) {
 		w.fail(&json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)})
 		return
 	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b := strconv.AppendFloat(w.b, f, format, -1, 64)
-	if format == 'e' {
-		// Clean up e-09 to e-9.
-		n := len(b)
-		if n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	w.b = b
+	w.b = jsontext.AppendFloat(w.b, f)
 }
 
 func (w *jsonWriter) fail(err error) {
 	if w.err == nil {
 		w.err = err
 	}
-}
-
-const hexDigits = "0123456789abcdef"
-
-// appendJSONString appends s as a JSON string the way encoding/json
-// does with HTML escaping on: <, > and & become \u003c, \u003e and
-// \u0026, U+2028 and U+2029 are escaped, and invalid UTF-8 becomes
-// \ufffd.
-//
-//uplan:hotpath
-func appendJSONString(dst []byte, s string) []byte {
-	dst = append(dst, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		if b := s[i]; b < utf8.RuneSelf {
-			if b >= 0x20 && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
-				i++
-				continue
-			}
-			dst = append(dst, s[start:i]...)
-			switch b {
-			case '\\', '"':
-				dst = append(dst, '\\', b)
-			case '\b':
-				dst = append(dst, '\\', 'b')
-			case '\f':
-				dst = append(dst, '\\', 'f')
-			case '\n':
-				dst = append(dst, '\\', 'n')
-			case '\r':
-				dst = append(dst, '\\', 'r')
-			case '\t':
-				dst = append(dst, '\\', 't')
-			default:
-				dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		c, size := utf8.DecodeRuneInString(s[i:])
-		if c == utf8.RuneError && size == 1 {
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, `\ufffd`...)
-			i += size
-			start = i
-			continue
-		}
-		if c == '\u2028' || c == '\u2029' {
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[c&0xF])
-			i += size
-			start = i
-			continue
-		}
-		i += size
-	}
-	dst = append(dst, s[start:]...)
-	return append(dst, '"')
 }

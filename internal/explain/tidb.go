@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"uplan/internal/jsontext"
 )
 
 // TiDB serializations: the tabular EXPLAIN output (id/estRows/task/access
@@ -102,12 +104,12 @@ func tidbJSON(w *jsonWriter, n *Node, depth int) {
 		w.b = append(w.b, ',')
 		w.newline(depth + 1)
 		w.key(key)
-		w.b = appendJSONString(w.b, val)
+		w.b = jsontext.AppendString(w.b, val)
 	}
 	w.b = append(w.b, '{')
 	w.newline(depth + 1)
 	w.key("id")
-	w.b = appendJSONString(w.b, n.Name)
+	w.b = jsontext.AppendString(w.b, n.Name)
 	member("estRows", est)
 	if ar, ok := n.Prop("actual_rows"); ok {
 		if s := FormatVal(ar); s != "" {

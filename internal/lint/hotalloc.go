@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"strconv"
+	"strings"
 )
 
 // HotAlloc guards the perf work: inside //uplan:hotpath scopes (a marked
@@ -20,10 +21,15 @@ import (
 //     for formatting machinery; hoist or build with strconv/append.
 //     (fmt.Errorf is deliberately exempt: error construction sits on the
 //     cold path even inside hot loops.)
+//   - encoding/json Marshal, MarshalIndent, Unmarshal and NewDecoder:
+//     reflective encoding and decoding that the append-style writers
+//     and the jsontext scanner replaced; an encoding/json fallback
+//     belongs in a separate, unmarked function.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
 	Doc: "flags known-allocating idioms (convert.For, strings.Split line " +
-		"iteration, fmt.Sprintf in loops) inside //uplan:hotpath scopes",
+		"iteration, fmt.Sprintf in loops, reflective encoding/json) inside " +
+		"//uplan:hotpath scopes",
 	Run: runHotAlloc,
 }
 
@@ -54,7 +60,7 @@ func runHotAlloc(pass *Pass) error {
 			if !ok || !pass.InHotPath(call.Pos()) {
 				return true
 			}
-			switch funcFullName(calleeFunc(pass.Info, call)) {
+			switch name := funcFullName(calleeFunc(pass.Info, call)); name {
 			case "uplan/internal/convert.For":
 				pass.Reportf(call.Pos(), "convert.For rebuilds the converter per call on a hot path; use convert.Cached or a worker-local converter cache")
 			case "strings.Split", "strings.SplitAfter":
@@ -65,6 +71,9 @@ func runHotAlloc(pass *Pass) error {
 				if inLoop(call) {
 					pass.Reportf(call.Pos(), "fmt.Sprintf inside a loop on a hot path allocates per iteration; hoist it or build with strconv/append")
 				}
+			case "encoding/json.Marshal", "encoding/json.MarshalIndent", "encoding/json.Unmarshal", "encoding/json.NewDecoder":
+				pass.Reportf(call.Pos(), "%s on a hot path is a reflective pass over the value; append with jsontext or scan with jsontext.Scanner, and keep any encoding/json fallback in an unmarked function",
+					strings.TrimPrefix(name, "encoding/"))
 			}
 			return true
 		})

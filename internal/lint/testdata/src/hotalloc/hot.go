@@ -3,6 +3,8 @@
 package hotalloc
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -58,4 +60,22 @@ func hotErrf(keys []string) error {
 		}
 	}
 	return nil
+}
+
+// hotMarshal encodes and decodes reflectively on the hot path.
+//
+//uplan:hotpath
+func hotMarshal(v any, data []byte) ([]byte, error) {
+	out, err := json.Marshal(v) // want `json\.Marshal on a hot path`
+	if err != nil {
+		return nil, err
+	}
+	if _, err := json.MarshalIndent(v, "", "  "); err != nil { // want `json\.MarshalIndent on a hot path`
+		return nil, err
+	}
+	if err := json.Unmarshal(data, &v); err != nil { // want `json\.Unmarshal on a hot path`
+		return nil, err
+	}
+	dec := json.NewDecoder(bytes.NewReader(data)) // want `json\.NewDecoder on a hot path`
+	return out, dec.Decode(&v)
 }

@@ -1,6 +1,8 @@
 package hotalloc
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -37,4 +39,26 @@ func coldSprintf(keys []string) string {
 //uplan:hotpath
 func hotSplitOnComma(s string) []string {
 	return strings.Split(s, ",")
+}
+
+// coldMarshal is the encoding/json fallback kept in an unmarked
+// function: allowed.
+func coldMarshal(v any, data []byte) ([]byte, error) {
+	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&v); err != nil {
+		return nil, err
+	}
+	return json.Marshal(v)
+}
+
+// hotCallsCold reaches encoding/json only through an unmarked helper,
+// and uses the package's non-reflective parts directly: allowed.
+//
+//uplan:hotpath
+func hotCallsCold(v any, data []byte) ([]byte, error) {
+	if !json.Valid(data) {
+		return nil, nil
+	}
+	var raw json.RawMessage = data
+	_ = raw
+	return coldMarshal(v, data)
 }

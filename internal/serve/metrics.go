@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,6 +53,9 @@ func (m *metrics) recordOne(dialect string, err error) {
 	defer m.statsMu.Unlock()
 	ds := m.stats.Dialects[dialect]
 	if ds == nil {
+		// The request's dialect may be a substring of its whole body;
+		// the map keeps its own copy.
+		dialect = strings.Clone(dialect)
 		ds = &pipeline.DialectStats{Dialect: dialect}
 		m.stats.Dialects[dialect] = ds
 	}
@@ -78,6 +82,7 @@ func (m *metrics) recordBatch(st pipeline.Stats) {
 	for key, ds := range st.Dialects {
 		tot := m.stats.Dialects[key]
 		if tot == nil {
+			key = strings.Clone(key) // may alias a request body, as in recordOne
 			tot = &pipeline.DialectStats{Dialect: key}
 			m.stats.Dialects[key] = tot
 		}

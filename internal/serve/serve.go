@@ -31,7 +31,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"runtime"
@@ -162,6 +161,7 @@ type Server struct {
 	cache   *responseCache
 	metrics *metrics
 	arenas  sync.Pool // *core.PlanArena, reset between requests
+	buffers sync.Pool // *[]byte, request reads and response builds
 
 	handler http.Handler
 	http    *http.Server
@@ -378,28 +378,53 @@ func (s *Server) admit(ctx context.Context, w http.ResponseWriter, batch bool) (
 	return nil, false
 }
 
-// decode reads one bounded JSON request body.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		s.badBody(w, err)
-		return false
+// Body buffer bounds. The pool keeps buffers up to single-request size:
+// every buffer it holds stays live, and one that had grown to a batch
+// body would pin that memory for every later single request. A read is
+// presized from Content-Length up to maxPresize, so a header alone
+// cannot make the server allocate a whole MaxBodyBytes.
+const (
+	maxPooledBuffer = 32 << 10
+	maxPresize      = 1 << 20
+)
+
+// getBuffer returns an empty pooled body buffer.
+func (s *Server) getBuffer() *[]byte {
+	if b, ok := s.buffers.Get().(*[]byte); ok {
+		return b
 	}
-	return true
+	b := make([]byte, 0, 4096)
+	return &b
 }
 
-// readBinaryBody reads one bounded binary request body in full; the wire
-// decoders need the complete message.
-func (s *Server) readBinaryBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+// putBuffer returns a body buffer to the pool.
+func (s *Server) putBuffer(b *[]byte) {
+	if cap(*b) > maxPooledBuffer {
+		return
+	}
+	*b = (*b)[:0]
+	s.buffers.Put(b)
+}
+
+// decodeBody reads one bounded request body whole into a pooled buffer,
+// presized from Content-Length, and decodes it. decode must not retain
+// the buffer. Every request body is read whole, so a body over
+// MaxBodyBytes gets 413 even when its first JSON value ends earlier.
+func decodeBody[T any](s *Server, w http.ResponseWriter, r *http.Request, decode func([]byte) (T, error)) (T, bool) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	data, err := io.ReadAll(r.Body)
+	buf := s.getBuffer()
+	defer s.putBuffer(buf)
+	var v T
+	var err error
+	*buf, err = ReadBody(*buf, r.Body, min(r.ContentLength, s.opts.MaxBodyBytes, maxPresize))
+	if err == nil {
+		v, err = decode(*buf)
+	}
 	if err != nil {
 		s.badBody(w, err)
-		return nil, false
+		return v, false
 	}
-	return data, true
+	return v, true
 }
 
 // badBody answers a request whose body failed to read or decode: 413 when
@@ -415,40 +440,20 @@ func (s *Server) badBody(w http.ResponseWriter, err error) {
 }
 
 // decodeConvert reads one convert request in its negotiated format:
-// binary when the Content-Type says so, bounded JSON otherwise.
-func (s *Server) decodeConvert(w http.ResponseWriter, r *http.Request, dst *ConvertRequest) bool {
-	if !isBinaryContent(r) {
-		return s.decode(w, r, dst)
+// binary when the Content-Type says so, JSON otherwise.
+func (s *Server) decodeConvert(w http.ResponseWriter, r *http.Request) (ConvertRequest, bool) {
+	if isBinaryContent(r) {
+		return decodeBody(s, w, r, DecodeBinaryConvertRequest)
 	}
-	data, ok := s.readBinaryBody(w, r)
-	if !ok {
-		return false
-	}
-	req, err := DecodeBinaryConvertRequest(data)
-	if err != nil {
-		s.badBody(w, err)
-		return false
-	}
-	*dst = req
-	return true
+	return decodeBody(s, w, r, DecodeConvertRequestJSON)
 }
 
 // decodeBatch is decodeConvert's batch-request counterpart.
-func (s *Server) decodeBatch(w http.ResponseWriter, r *http.Request, dst *BatchRequest) bool {
-	if !isBinaryContent(r) {
-		return s.decode(w, r, dst)
+func (s *Server) decodeBatch(w http.ResponseWriter, r *http.Request) (BatchRequest, bool) {
+	if isBinaryContent(r) {
+		return decodeBody(s, w, r, DecodeBinaryBatchRequest)
 	}
-	data, ok := s.readBinaryBody(w, r)
-	if !ok {
-		return false
-	}
-	req, err := DecodeBinaryBatchRequest(data)
-	if err != nil {
-		s.badBody(w, err)
-		return false
-	}
-	*dst = req
-	return true
+	return decodeBody(s, w, r, DecodeBatchRequestJSON)
 }
 
 // delay is the HandlerDelay fault-injection hook, context-aware so a
@@ -482,27 +487,23 @@ func (s *Server) convertInPooledArena(dialect, serialized string, use func(p *co
 	return use(p)
 }
 
-// buildConvertBody converts one request and marshals the full
-// ConvertResponse body, for the convert handler and its cache fill.
+// buildConvertBody converts one request and writes the full
+// ConvertResponse body, for the convert handler and its cache fill. The
+// body is built in a pooled buffer and copied out at its exact size,
+// because the response cache keeps it.
+//
+//uplan:hotpath
 func (s *Server) buildConvertBody(req ConvertRequest) ([]byte, error) {
-	var resp ConvertResponse
+	var body []byte
 	err := s.convertInPooledArena(req.Dialect, req.Serialized, func(p *core.Plan) error {
-		planJSON, merr := p.MarshalJSON()
-		if merr != nil {
-			return fmt.Errorf("marshaling converted plan: %w", merr)
-		}
-		resp = ConvertResponse{
-			Dialect:       req.Dialect,
-			Plan:          planJSON,
-			Fingerprint64: strconv.FormatUint(p.Fingerprint64(core.FingerprintOptions{}), 10),
-			Fingerprint:   core.HexFingerprint(p.FingerprintBytes(core.FingerprintOptions{})),
-		}
+		buf := s.getBuffer()
+		*buf = appendConvertBody(*buf, req.Dialect, p)
+		body = make([]byte, len(*buf))
+		copy(body, *buf)
+		s.putBuffer(buf)
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(resp)
+	return body, err
 }
 
 // buildConvertBinary is buildConvertBody on the binary wire: the plan
@@ -534,8 +535,8 @@ func (s *Server) handleConvert(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
 	defer cancel()
 
-	var req ConvertRequest
-	if !s.decodeConvert(w, r, &req) {
+	req, ok := s.decodeConvert(w, r)
+	if !ok {
 		return
 	}
 	binary := acceptsBinary(r)
@@ -585,8 +586,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.opts.BatchTimeout)
 	defer cancel()
 
-	var req BatchRequest
-	if !s.decodeBatch(w, r, &req) {
+	req, ok := s.decodeBatch(w, r)
+	if !ok {
 		return
 	}
 	binary := acceptsBinary(r)
@@ -653,31 +654,17 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	resp := BatchResponse{
-		Results:          make([]BatchItem, len(results)),
-		Converted:        stats.Converted,
-		DeadlineExceeded: deadlineExceeded,
-		ElapsedSeconds:   stats.Elapsed.Seconds(),
-		PlansPerSec:      stats.PlansPerSec(),
-	}
-	// Errors counts per slot, not from stats: records the deadline cut off
-	// before a worker claimed them carry ctx's error in their slot but are
-	// not conversion errors, and the response must still add up.
-	for i, res := range results {
-		if res.Err != nil {
-			resp.Results[i] = BatchItem{Error: res.Err.Error()}
-			resp.Errors++
-			continue
-		}
-		planJSON, err := res.Plan.MarshalJSON()
-		if err != nil {
-			resp.Results[i] = BatchItem{Error: err.Error()}
-			resp.Errors++
-			continue
-		}
-		resp.Results[i] = BatchItem{Plan: planJSON}
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+	// The body is written straight from the pooled buffer: nothing keeps
+	// it past the write.
+	buf := s.getBuffer()
+	*buf = appendBatchBody(*buf, results, batchBody{
+		converted:        stats.Converted,
+		deadlineExceeded: deadlineExceeded,
+		elapsedSeconds:   stats.Elapsed.Seconds(),
+		plansPerSec:      stats.PlansPerSec(),
+	})
+	s.writeBody(w, http.StatusOK, *buf)
+	s.putBuffer(buf)
 }
 
 func (s *Server) handleFingerprint(w http.ResponseWriter, r *http.Request) {
@@ -685,8 +672,8 @@ func (s *Server) handleFingerprint(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
 	defer cancel()
 
-	var req ConvertRequest
-	if !s.decode(w, r, &req) {
+	req, ok := decodeBody(s, w, r, DecodeConvertRequestJSON)
+	if !ok {
 		return
 	}
 	release, ok := s.admit(ctx, w, false)
@@ -718,8 +705,8 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
 	defer cancel()
 
-	var req CompareRequest
-	if !s.decode(w, r, &req) {
+	req, ok := decodeBody(s, w, r, decodeStrict[CompareRequest])
+	if !ok {
 		return
 	}
 	release, ok := s.admit(ctx, w, false)

@@ -11,11 +11,7 @@ package serveclient
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
-	"io"
-	"net/http"
-	"time"
 
 	"uplan/internal/codec"
 	"uplan/internal/core"
@@ -114,59 +110,13 @@ func (c *Client) BatchConvertBinary(ctx context.Context, records []serve.Convert
 	return out, nil
 }
 
-// callBinary runs one binary-wire POST with the same
-// retry-backoff-jitter loop as call, returning the raw response body.
+// callBinary runs one binary-wire POST with call's retry-backoff-jitter
+// loop and returns a copy of the raw response body.
 func (c *Client) callBinary(ctx context.Context, path string, body []byte) ([]byte, error) {
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		raw, err := c.attemptBinary(ctx, path, body)
-		if err == nil {
-			return raw, nil
-		}
-		lastErr = err
-		var apiErr *APIError
-		retryable := !errors.As(lastErr, &apiErr) || apiErr.Retryable()
-		if !retryable || attempt >= c.opts.MaxRetries {
-			return nil, lastErr
-		}
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		var hint time.Duration
-		if apiErr != nil {
-			hint = apiErr.RetryAfter
-		}
-		if err := sleepBackoff(ctx, c.opts.Backoff, c.opts.MaxBackoff, attempt, hint); err != nil {
-			return nil, errors.Join(err, lastErr)
-		}
-	}
-}
-
-// attemptBinary performs a single binary-wire round trip, reading the
-// whole 2xx body (the wire decoders need the complete message).
-func (c *Client) attemptBinary(ctx context.Context, path string, body []byte) (raw []byte, err error) {
-	req, err := http.NewRequestWithContext(ctx, "POST", c.base+path, bytes.NewReader(body))
-	if err != nil {
-		return nil, fmt.Errorf("serveclient: %w", err)
-	}
-	req.Header.Set("Content-Type", serve.BinaryContentType)
-	req.Header.Set("Accept", serve.BinaryContentType)
-	hr, err := c.hc.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("serveclient: POST %s: %w", path, err)
-	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, hr.Body)
-		if cerr := hr.Body.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
-	if hr.StatusCode/100 != 2 {
-		return nil, decodeAPIError(hr)
-	}
-	raw, err = io.ReadAll(hr.Body)
-	if err != nil {
-		return nil, fmt.Errorf("serveclient: reading %s response: %w", path, err)
-	}
-	return raw, nil
+	var raw []byte
+	err := c.call(ctx, "POST", path, body, true, func(b []byte) error {
+		raw = bytes.Clone(b)
+		return nil
+	})
+	return raw, err
 }

@@ -21,6 +21,7 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"uplan/internal/serve"
@@ -111,32 +112,55 @@ func (e *APIError) Retryable() bool {
 	return e.Status == http.StatusTooManyRequests || e.Status == http.StatusServiceUnavailable
 }
 
-// Convert converts one native plan.
+// Convert converts one native plan. The request body is appended and
+// the response scanned in one pass each (serve's JSON wire codec), with
+// the same bytes and the same decoded value as encoding/json.
+//
+//uplan:hotpath
 func (c *Client) Convert(ctx context.Context, dialect, serialized string) (*serve.ConvertResponse, error) {
+	req := serve.ConvertRequest{Dialect: dialect, Serialized: serialized}
+	body := serve.AppendConvertRequestJSON(make([]byte, 0, requestSize(len(dialect)+len(serialized))), req)
 	var resp serve.ConvertResponse
-	err := c.call(ctx, "POST", "/v1/convert",
-		serve.ConvertRequest{Dialect: dialect, Serialized: serialized}, &resp)
+	err := c.call(ctx, "POST", "/v1/convert", body, false, func(raw []byte) (err error) {
+		resp, err = serve.DecodeConvertResponseJSON(raw)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
 	return &resp, nil
 }
 
-// BatchConvert converts a corpus through the service's worker pool.
+// BatchConvert converts a corpus through the service's worker pool, on
+// the same one-pass JSON wire as Convert.
+//
+//uplan:hotpath
 func (c *Client) BatchConvert(ctx context.Context, records []serve.ConvertRequest) (*serve.BatchResponse, error) {
+	n := 0
+	for _, r := range records {
+		n += len(r.Dialect) + len(r.Serialized)
+	}
+	body := serve.AppendBatchRequestJSON(make([]byte, 0, requestSize(n)), serve.BatchRequest{Records: records})
 	var resp serve.BatchResponse
-	err := c.call(ctx, "POST", "/v1/batch-convert", serve.BatchRequest{Records: records}, &resp)
+	err := c.call(ctx, "POST", "/v1/batch-convert", body, false, func(raw []byte) (err error) {
+		resp, err = serve.DecodeBatchResponseJSON(raw)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
 	return &resp, nil
 }
+
+// requestSize estimates a JSON request body holding n bytes of strings:
+// escapes (quotes and newlines in EXPLAIN text) add a few percent.
+func requestSize(n int) int { return n + n/8 + 64 }
 
 // Fingerprint converts one native plan and returns only its structural
 // fingerprints.
 func (c *Client) Fingerprint(ctx context.Context, dialect, serialized string) (*serve.FingerprintResponse, error) {
 	var resp serve.FingerprintResponse
-	err := c.call(ctx, "POST", "/v1/fingerprint",
+	err := c.callJSON(ctx, "POST", "/v1/fingerprint",
 		serve.ConvertRequest{Dialect: dialect, Serialized: serialized}, &resp)
 	if err != nil {
 		return nil, err
@@ -147,7 +171,7 @@ func (c *Client) Fingerprint(ctx context.Context, dialect, serialized string) (*
 // Compare converts two native plans and returns their structural diff.
 func (c *Client) Compare(ctx context.Context, a, b serve.ConvertRequest) (*serve.CompareResponse, error) {
 	var resp serve.CompareResponse
-	err := c.call(ctx, "POST", "/v1/compare", serve.CompareRequest{A: a, B: b}, &resp)
+	err := c.callJSON(ctx, "POST", "/v1/compare", serve.CompareRequest{A: a, B: b}, &resp)
 	if err != nil {
 		return nil, err
 	}
@@ -157,7 +181,7 @@ func (c *Client) Compare(ctx context.Context, a, b serve.ConvertRequest) (*serve
 // CampaignStatus reports the attached campaign store's state.
 func (c *Client) CampaignStatus(ctx context.Context) (*serve.CampaignStatusResponse, error) {
 	var resp serve.CampaignStatusResponse
-	if err := c.call(ctx, "GET", "/v1/campaign-status", nil, &resp); err != nil {
+	if err := c.callJSON(ctx, "GET", "/v1/campaign-status", nil, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -166,7 +190,7 @@ func (c *Client) CampaignStatus(ctx context.Context) (*serve.CampaignStatusRespo
 // Metrics snapshots the service's counters.
 func (c *Client) Metrics(ctx context.Context) (*serve.MetricsSnapshot, error) {
 	var resp serve.MetricsSnapshot
-	if err := c.call(ctx, "GET", "/metrics", nil, &resp); err != nil {
+	if err := c.callJSON(ctx, "GET", "/metrics", nil, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -175,7 +199,7 @@ func (c *Client) Metrics(ctx context.Context) (*serve.MetricsSnapshot, error) {
 // Healthy probes /healthz (liveness) without retrying.
 func (c *Client) Healthy(ctx context.Context) (*serve.HealthResponse, error) {
 	var resp serve.HealthResponse
-	if err := c.once(ctx, "GET", "/healthz", nil, &resp); err != nil {
+	if err := c.attempt(ctx, "GET", "/healthz", nil, false, decodeJSON(&resp)); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -185,21 +209,37 @@ func (c *Client) Healthy(ctx context.Context) (*serve.HealthResponse, error) {
 // 503 is the answer, not a transient to paper over.
 func (c *Client) Ready(ctx context.Context) (*serve.HealthResponse, error) {
 	var resp serve.HealthResponse
-	if err := c.once(ctx, "GET", "/readyz", nil, &resp); err != nil {
+	if err := c.attempt(ctx, "GET", "/readyz", nil, false, decodeJSON(&resp)); err != nil {
 		return nil, err
 	}
 	return &resp, nil
 }
 
-// call runs one API call with the retry-backoff-jitter loop.
-func (c *Client) call(ctx context.Context, method, path string, req, resp any) error {
-	body, err := marshalBody(req)
-	if err != nil {
-		return err
+// callJSON runs one API call whose request and response go through
+// encoding/json.
+func (c *Client) callJSON(ctx context.Context, method, path string, req, resp any) error {
+	var body []byte
+	if req != nil {
+		var err error
+		if body, err = json.Marshal(req); err != nil {
+			return fmt.Errorf("serveclient: encoding request: %w", err)
+		}
 	}
+	return c.call(ctx, method, path, body, false, decodeJSON(resp))
+}
+
+// decodeJSON returns a response decoder into out: json.Decoder over the
+// body, as the client has always decoded.
+func decodeJSON(out any) func([]byte) error {
+	return func(raw []byte) error { return json.NewDecoder(bytes.NewReader(raw)).Decode(out) }
+}
+
+// call runs one API call with the retry-backoff-jitter loop. binary
+// selects the binary wire for the request body and the response.
+func (c *Client) call(ctx context.Context, method, path string, body []byte, binary bool, decode func([]byte) error) error {
 	var lastErr error
 	for attempt := 0; ; attempt++ {
-		lastErr = c.attempt(ctx, method, path, body, resp)
+		lastErr = c.attempt(ctx, method, path, body, binary, decode)
 		if lastErr == nil {
 			return nil
 		}
@@ -223,28 +263,18 @@ func (c *Client) call(ctx context.Context, method, path string, req, resp any) e
 	}
 }
 
-// once runs one API call with no retries (health probes).
-func (c *Client) once(ctx context.Context, method, path string, req, resp any) error {
-	body, err := marshalBody(req)
-	if err != nil {
-		return err
-	}
-	return c.attempt(ctx, method, path, body, resp)
-}
+// bodyBuffers pools response-body reads. It keeps buffers up to
+// maxPooledBuffer, single-response size: every pooled buffer stays live,
+// and one grown to a batch response would pin that memory.
+var bodyBuffers sync.Pool // *[]byte
 
-func marshalBody(req any) ([]byte, error) {
-	if req == nil {
-		return nil, nil
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, fmt.Errorf("serveclient: encoding request: %w", err)
-	}
-	return body, nil
-}
+const maxPooledBuffer = 32 << 10
 
-// attempt performs a single HTTP round trip.
-func (c *Client) attempt(ctx context.Context, method, path string, body []byte, out any) error {
+// attempt performs a single HTTP round trip. A 2xx body is read whole
+// into a pooled buffer, presized from Content-Length, and handed to
+// decode, which must not retain it. A failure to close the response body
+// fails the attempt.
+func (c *Client) attempt(ctx context.Context, method, path string, body []byte, binary bool, decode func([]byte) error) (err error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -253,7 +283,11 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 	if err != nil {
 		return fmt.Errorf("serveclient: %w", err)
 	}
-	if body != nil {
+	switch {
+	case binary:
+		req.Header.Set("Content-Type", serve.BinaryContentType)
+		req.Header.Set("Accept", serve.BinaryContentType)
+	case body != nil:
 		req.Header.Set("Content-Type", "application/json")
 	}
 	hr, err := c.hc.Do(req)
@@ -271,10 +305,19 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 	if hr.StatusCode/100 != 2 {
 		return decodeAPIError(hr)
 	}
-	if out == nil {
-		return nil
+	buf, _ := bodyBuffers.Get().(*[]byte)
+	if buf == nil {
+		buf = new([]byte)
 	}
-	if err := json.NewDecoder(hr.Body).Decode(out); err != nil {
+	defer func() {
+		if cap(*buf) <= maxPooledBuffer {
+			bodyBuffers.Put(buf)
+		}
+	}()
+	if *buf, err = serve.ReadBody(*buf, hr.Body, hr.ContentLength); err != nil {
+		return fmt.Errorf("serveclient: reading %s response: %w", path, err)
+	}
+	if err := decode(*buf); err != nil {
 		return fmt.Errorf("serveclient: decoding %s response: %w", path, err)
 	}
 	return nil

@@ -51,11 +51,16 @@ func wireErr(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrWire, fmt.Sprintf(format, args...))
 }
 
-// readWireUvarint decodes the uvarint at data[off:].
+// readWireUvarint decodes the uvarint at data[off:]. Only the minimal
+// encoding AppendUvarint writes is accepted, so a decoded message
+// re-encodes to the bytes it came from.
 func readWireUvarint(data []byte, off int) (uint64, int, error) {
 	v, n := binary.Uvarint(data[off:])
 	if n <= 0 {
 		return 0, 0, wireErr("truncated varint at offset %d", off)
+	}
+	if n > 1 && data[off+n-1] == 0 {
+		return 0, 0, wireErr("non-minimal varint at offset %d", off)
 	}
 	return v, off + n, nil
 }
@@ -132,7 +137,9 @@ func DecodeBinaryBatchRequest(data []byte) (BatchRequest, error) {
 	if count > wireMaxItems {
 		return BatchRequest{}, wireErr("batch of %d records exceeds the wire cap", count)
 	}
-	req := BatchRequest{Records: make([]ConvertRequest, 0, count)}
+	// Every record takes at least two bytes, which bounds what a corrupt
+	// count can make the decoder allocate.
+	req := BatchRequest{Records: make([]ConvertRequest, 0, min(count, uint64(len(data)-off)/2))}
 	for i := uint64(0); i < count; i++ {
 		var rec ConvertRequest
 		rec, off, err = decodeConvertRequestAt(data, off)
@@ -254,7 +261,7 @@ func DecodeBinaryBatchResponse(data []byte) (BinaryBatchResponse, error) {
 	if count > wireMaxItems {
 		return BinaryBatchResponse{}, wireErr("batch of %d results exceeds the wire cap", count)
 	}
-	resp.Results = make([]BinaryBatchItem, 0, count)
+	resp.Results = make([]BinaryBatchItem, 0, min(count, uint64(len(data)-off)/2))
 	for i := uint64(0); i < count; i++ {
 		if off >= len(data) {
 			return BinaryBatchResponse{}, wireErr("truncated batch item %d", i)
@@ -270,6 +277,11 @@ func DecodeBinaryBatchResponse(data []byte) (BinaryBatchResponse, error) {
 		case wireItemPlan:
 			resp.Results = append(resp.Results, BinaryBatchItem{PlanBlob: field})
 		case wireItemError:
+			// The encoder writes an empty error as a plan item; reject
+			// the form it never writes.
+			if len(field) == 0 {
+				return BinaryBatchResponse{}, wireErr("empty error text in batch item %d", i)
+			}
 			resp.Results = append(resp.Results, BinaryBatchItem{Error: string(field)})
 		default:
 			return BinaryBatchResponse{}, wireErr("unknown batch item tag 0x%02x", tag)
