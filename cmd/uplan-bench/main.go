@@ -8,7 +8,7 @@
 // Usage:
 //
 //	uplan-bench [-seed 42] [-experiment all|table6|table7|figure4|q11|batch|text|campaign|serve|codec]
-//	            [-parallel N] [-reuse-arenas] [-iters N] [-queries N] [-out FILE]
+//	            [-parallel N] [-chunk N] [-iters N] [-queries N] [-out FILE]
 //	            [-store DIR] [-resume] [-checkpoint-every N]
 //	            [-pack FILE] [-unpack FILE]
 //	            [-cpuprofile FILE] [-memprofile FILE]
@@ -16,7 +16,8 @@
 // -parallel N runs the batch experiment through the conversion pipeline
 // with N workers and reports the speedup over the sequential one-shot
 // path; -parallel 0 (the default) reports the sequential path only.
-// -reuse-arenas turns on the pipeline's owned-batch arena mode.
+// -chunk N sets the records each worker claims at a time (0 means
+// pipeline.DefaultChunkSize).
 // -out FILE additionally writes the batch experiment's throughput and
 // speedup numbers as JSON (see BENCH_batch.json for the committed
 // snapshots that record the perf trajectory across PRs).
@@ -103,7 +104,6 @@ type batchResult struct {
 	Workers          int              `json:"workers,omitempty"`
 	WorkersEffective int              `json:"workers_effective,omitempty"`
 	ChunkSize        int              `json:"chunk_size,omitempty"`
-	ReuseArenas      bool             `json:"reuse_arenas,omitempty"`
 	SpeedupVsSeq     float64          `json:"speedup_vs_sequential,omitempty"`
 	SpeedupVsCached  float64          `json:"speedup_vs_sequential_cached,omitempty"`
 }
@@ -120,7 +120,6 @@ func main() {
 	experiment := flag.String("experiment", "all", "experiment: all, table6, table7, figure4, q11, batch, text, campaign, serve, codec")
 	parallel := flag.Int("parallel", 0, "batch: pipeline worker count (0 = sequential only); campaign: task pool bound (0 = GOMAXPROCS)")
 	chunk := flag.Int("chunk", 0, "batch experiment: records per pipeline dispatch chunk (0 = default)")
-	reuseArenas := flag.Bool("reuse-arenas", false, "batch experiment: per-worker reusable arenas (owned-batch mode)")
 	iters := flag.Int("iters", 2000, "text experiment: conversions per dialect per path")
 	queries := flag.Int("queries", 100, "campaign experiment: generated-query budget per engine/oracle task")
 	storeDir := flag.String("store", "", "campaign experiment: journal plans, findings, and checkpoints to this durable log directory")
@@ -259,7 +258,7 @@ func main() {
 		if *iters <= 0 {
 			fail(fmt.Errorf("-iters must be positive (got %d)", *iters))
 		}
-		if err := runServeExperiment(*seed, *parallel, *iters, *reuseArenas, *out); err != nil {
+		if err := runServeExperiment(*seed, *parallel, *iters, *out); err != nil {
 			fail(err)
 		}
 	}
@@ -364,7 +363,7 @@ func main() {
 			if *chunk <= 0 {
 				*chunk = pipeline.DefaultChunkSize
 			}
-			popts := pipeline.Options{Workers: *parallel, ChunkSize: *chunk, ReuseArenas: *reuseArenas}
+			popts := pipeline.Options{Workers: *parallel, ChunkSize: *chunk}
 			results, stats := pipeline.ConvertBatch(corpus, popts)
 			for _, r := range results {
 				if r.Err != nil {
@@ -383,7 +382,6 @@ func main() {
 			result.Workers = *parallel
 			result.WorkersEffective = effective
 			result.ChunkSize = popts.ChunkSize
-			result.ReuseArenas = *reuseArenas
 			result.SpeedupVsSeq = stats.PlansPerSec() / seqRate
 			result.SpeedupVsCached = stats.PlansPerSec() / cachedRate
 		}

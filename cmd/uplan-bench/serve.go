@@ -26,7 +26,6 @@ type serveResult struct {
 	Seed          int64   `json:"seed"`
 	CorpusRecords int     `json:"corpus_records"`
 	Clients       int     `json:"clients"`
-	ReuseArenas   bool    `json:"reuse_arenas,omitempty"`
 	Convert       loadRun `json:"convert"`
 	// Batch is one full-corpus batch-convert round trip; PlansPerSec is
 	// the server-reported pipeline rate inside that request.
@@ -53,7 +52,7 @@ type loadRun struct {
 // single converts round-robined over the mixed corpus, then one
 // full-corpus batch convert. The server is drained (not killed) at the
 // end, so the run also exercises the clean-shutdown path every time.
-func runServeExperiment(seed int64, clients, iters int, reuseArenas bool, out string) error {
+func runServeExperiment(seed int64, clients, iters int, out string) error {
 	corpus, err := bench.Corpus(seed)
 	if err != nil {
 		return err
@@ -63,8 +62,7 @@ func runServeExperiment(seed int64, clients, iters int, reuseArenas bool, out st
 	}
 
 	srv := serve.New(serve.Options{
-		Addr:        "127.0.0.1:0",
-		ReuseArenas: reuseArenas,
+		Addr: "127.0.0.1:0",
 		// The load test measures throughput, not shedding: queue deep
 		// enough that the client fan-in is never refused.
 		MaxInFlight: clients,
@@ -89,7 +87,6 @@ func runServeExperiment(seed int64, clients, iters int, reuseArenas bool, out st
 		Seed:          seed,
 		CorpusRecords: len(corpus),
 		Clients:       clients,
-		ReuseArenas:   reuseArenas,
 	}
 
 	// Phase 1: single converts, one shared atomic cursor so the request

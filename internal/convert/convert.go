@@ -49,8 +49,8 @@ func ConvertInto(dialect, serialized string, ar *core.PlanArena) (*core.Plan, er
 	}
 	ac, ok := c.(ArenaConverter)
 	if !ok {
-		// Mirrors the pipeline's fallback: a converter without an arena
-		// path still converts, it just ignores the caller's arena.
+		// A converter without an arena path still converts; it just
+		// ignores the caller's arena.
 		return c.Convert(serialized)
 	}
 	if ar == nil {
@@ -70,6 +70,7 @@ var arenaPool = sync.Pool{New: func() any { return core.NewPlanArena() }}
 
 // convertPooled is the shared implementation of the converters' one-shot
 // Convert methods: ConvertIn into a pooled arena, detach, recycle.
+//
 //uplan:hotpath
 func convertPooled(c ArenaConverter, serialized string) (*core.Plan, error) {
 	ar := arenaPool.Get().(*core.PlanArena)
@@ -181,6 +182,7 @@ func Cached(dialect string) (Converter, error) {
 
 // parseScalar converts a property value string to a core.Value, detecting
 // numbers and booleans.
+//
 //uplan:hotpath
 func parseScalar(s string) core.Value {
 	t := strings.TrimSpace(s)
@@ -209,6 +211,7 @@ func parseScalar(s string) core.Value {
 // ParseFloat accepts (digits, sign/exponent/hex punctuation, and the
 // letters of inf/infinity/nan in either case), so no valid number is ever
 // filtered out — only guaranteed failures skip the call.
+//
 //uplan:hotpath
 func looksNumeric(t string) bool {
 	if len(t) == 0 {

@@ -89,6 +89,9 @@ func (c *postgresConverter) convertJSON(s string, ar *core.PlanArena) (*core.Pla
 	default:
 		return nil, fmt.Errorf("convert: postgres json: unexpected top-level shape")
 	}
+	if plan.Root == nil {
+		return nil, fmt.Errorf("convert: postgres json: no Plan object")
+	}
 	return plan, nil
 }
 
@@ -357,8 +360,8 @@ func (c *mysqlConverter) convertJSON(s string, ar *core.PlanArena) (*core.Plan, 
 	if !foundQB {
 		return nil, fmt.Errorf("convert: mysql json: missing query_block")
 	}
-	if plan.Root == nil && len(plan.Properties) == 0 {
-		return nil, fmt.Errorf("convert: mysql json: empty plan")
+	if plan.Root == nil {
+		return nil, fmt.Errorf("convert: mysql json: query_block has no plan")
 	}
 	return plan, nil
 }
@@ -767,8 +770,8 @@ func (c *neo4jConverter) convertJSON(s string, ar *core.PlanArena) (*core.Plan, 
 	if err != nil {
 		return nil, fmt.Errorf("convert: neo4j json: %w", err)
 	}
-	if plan.Root == nil && len(plan.Properties) == 0 {
-		return nil, fmt.Errorf("convert: neo4j json: empty document")
+	if plan.Root == nil {
+		return nil, fmt.Errorf("convert: neo4j json: no plan object")
 	}
 	return plan, nil
 }

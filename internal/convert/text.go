@@ -45,6 +45,7 @@ func (c *postgresConverter) ConvertIn(s string, ar *core.PlanArena) (*core.Plan,
 // convertText parses the EXPLAIN text format: node lines carry a
 // "(cost=…)" annotation; "->" arrows encode nesting (6 columns per level);
 // property lines sit under their node; plan lines trail at column 0.
+//
 //uplan:hotpath
 func (c *postgresConverter) convertText(s string, ar *core.PlanArena) (*core.Plan, error) {
 	plan := &core.Plan{Source: "postgresql"}
@@ -53,7 +54,6 @@ func (c *postgresConverter) convertText(s string, ar *core.PlanArena) (*core.Pla
 		col  int // column of the operator name
 	}
 	stack := make([]frame, 0, 8)
-	sawTree := false
 	for it := newLineIter(s); it.next(); {
 		raw := it.line
 		if strings.TrimSpace(raw) == "" {
@@ -86,7 +86,6 @@ func (c *postgresConverter) convertText(s string, ar *core.PlanArena) (*core.Pla
 				ar.AddChildIn(stack[len(stack)-1].node, node)
 			}
 			stack = append(stack, frame{node: node, col: nameCol})
-			sawTree = true
 		case indentDepth(raw) == 0:
 			// Plan-level property ("Planning Time: 0.124 ms").
 			key, val, ok := splitKV(raw)
@@ -106,13 +105,14 @@ func (c *postgresConverter) convertText(s string, ar *core.PlanArena) (*core.Pla
 			addProp(c.reg, "postgresql", ar, stack[len(stack)-1].node, key, val)
 		}
 	}
-	if !sawTree && plan.Root == nil && len(plan.Properties) == 0 {
+	if plan.Root == nil {
 		return nil, fmt.Errorf("convert: no PostgreSQL plan found in input")
 	}
 	return plan, nil
 }
 
 // parseNodeLine parses `Name on obj  (cost=a..b rows=N width=W) [actual…]`.
+//
 //uplan:hotpath
 func (c *postgresConverter) parseNodeLine(line string, ar *core.PlanArena) (*core.Node, error) {
 	costIdx := strings.Index(line, "(cost=")
@@ -245,6 +245,7 @@ func (c *mysqlConverter) ConvertIn(s string, ar *core.PlanArena) (*core.Plan, er
 }
 
 // convertTree parses EXPLAIN FORMAT=TREE: "-> " lines, 4 spaces/level.
+//
 //uplan:hotpath
 func (c *mysqlConverter) convertTree(s string, ar *core.PlanArena) (*core.Plan, error) {
 	plan := &core.Plan{Source: "mysql"}
@@ -293,6 +294,7 @@ func (c *mysqlConverter) parseTreeLine(title string, ar *core.PlanArena) *core.N
 // parseTreeLineInto parses a TREE operator title into an existing node —
 // the JSON decoder's "operation" strings reuse this without building (and
 // discarding) a second arena node per operator.
+//
 //uplan:hotpath
 func (c *mysqlConverter) parseTreeLineInto(node *core.Node, title string, ar *core.PlanArena) {
 	// Split off the cost/actual annotations.
@@ -342,6 +344,7 @@ func (c *mysqlConverter) parseTreeLineInto(node *core.Node, title string, ar *co
 
 // convertTable parses the classic tabular EXPLAIN: each row is one table
 // access; the result is a left-deep chain.
+//
 //uplan:hotpath
 func (c *mysqlConverter) convertTable(s string, ar *core.PlanArena) (*core.Plan, error) {
 	rows, header, err := parseASCIITable(s)
@@ -843,9 +846,6 @@ func (c *neo4jConverter) convertTable(s string, ar *core.PlanArena) (*core.Plan,
 	// filtered copy of the table lines is built.
 	rows, header, err := parseAlignedTable(s)
 	if err != nil {
-		if len(plan.Properties) > 0 {
-			return plan, nil
-		}
 		return nil, fmt.Errorf("convert: no Neo4j plan found")
 	}
 	type frame struct {
@@ -890,7 +890,7 @@ func (c *neo4jConverter) convertTable(s string, ar *core.PlanArena) (*core.Plan,
 		}
 		stack = append(stack, frame{node, depth})
 	}
-	if plan.Root == nil && len(plan.Properties) == 0 {
+	if plan.Root == nil {
 		return nil, fmt.Errorf("convert: no Neo4j plan found")
 	}
 	return plan, nil

@@ -10,7 +10,7 @@ import "strings"
 // plan regardless of tree size.
 //
 // The zero value is ready to use. An arena is NOT safe for concurrent use;
-// give each goroutine its own (see pipeline.Options.ReuseArenas).
+// give each goroutine its own.
 //
 // # Ownership and lifecycle
 //
@@ -30,7 +30,7 @@ import "strings"
 //     into independent, compactly laid-out heap storage (see Plan.Clone);
 //     the clone is unaffected by any later Reset. Reuse-plus-detach is
 //     what the convert package's plain Convert does internally (pooled
-//     arenas) and what pipeline workers do in ReuseArenas mode.
+//     arenas), and so what every pipeline.ConvertBatch worker does.
 //
 // Strings are never copied into the arena: names and values keep pointing
 // at whatever backing they had (typically substrings of the converter

@@ -107,6 +107,7 @@ func (w *fpState) writeString(s string) {
 // Configuration category, ordered like SortProperties, into the state.
 // lead is the byte prefixed to each property; values are appended only
 // when withValues is set.
+//
 //uplan:hotpath
 func (w *fpState) writeSortedConfigProps(props []Property, lead byte, withValues bool) {
 	if len(props) == 0 {
@@ -176,6 +177,7 @@ func valueLess(a, b Value) bool {
 // writeNormalizedValue streams a property value with unstable tokens
 // canonicalized (see NormalizeUnstable) and the value kind preserved:
 // strings are quoted, so Str("5") and Num(5) stay distinct.
+//
 //uplan:hotpath
 func (w *fpState) writeNormalizedValue(v Value) {
 	switch v.Kind {
@@ -200,6 +202,7 @@ func (w *fpState) writeNormalizedValue(v Value) {
 // writeNormalized streams NormalizeUnstable(s) without building the
 // intermediate string: standalone digit runs become '?', whitespace
 // collapses, and leading/trailing spaces drop.
+//
 //uplan:hotpath
 func (w *fpState) writeNormalized(s string) {
 	inDigits := false
@@ -251,6 +254,7 @@ func (w *fpState) writeNormalized(s string) {
 // walkPlan streams the plan's fingerprint token sequence into the state.
 // Recursion goes through methods, not a self-referencing closure, so a
 // walk performs no hidden allocations.
+//
 //uplan:hotpath
 func (w *fpState) walkPlan(p *Plan, opts FingerprintOptions) {
 	w.walkNode(p.Root, opts)
@@ -281,6 +285,7 @@ func (w *fpState) walkNode(n *Node, opts FingerprintOptions) {
 // given options as the full 32-byte SHA-256 digest. Two plans share a
 // fingerprint iff they are structurally equivalent at the chosen
 // granularity.
+//
 //uplan:hotpath
 func (p *Plan) FingerprintBytes(opts FingerprintOptions) [32]byte {
 	w := fpPool.Get().(*fpState)
@@ -299,6 +304,7 @@ func (p *Plan) FingerprintBytes(opts FingerprintOptions) [32]byte {
 // token stream FingerprintBytes hashes. It allocates nothing and is meant
 // for in-process sketches and pre-filters; use FingerprintBytes where
 // collision resistance matters (FingerprintSet does).
+//
 //uplan:hotpath
 func (p *Plan) Fingerprint64(opts FingerprintOptions) uint64 {
 	w := fpPool.Get().(*fpState)
@@ -382,6 +388,7 @@ func NewFingerprintSet(opts FingerprintOptions) *FingerprintSet {
 
 // Observe records the plan's fingerprint and reports whether it was new.
 // The hit path — a fingerprint already in the set — is allocation-free.
+//
 //uplan:hotpath
 func (s *FingerprintSet) Observe(p *Plan) bool {
 	return s.ObserveKey(p.FingerprintBytes(s.opts))

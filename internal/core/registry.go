@@ -341,6 +341,7 @@ func foldedLookup[V any](m map[string]V, key string) (V, bool) {
 // The read path is lock-free: it probes the current snapshot's merged
 // per-dialect index (aliases shadow unified names, preserving the
 // historical precedence) and allocates nothing on a hit.
+//
 //uplan:hotpath
 func (r *Registry) ResolveOperation(dialect, nativeName string) Operation {
 	s := r.snap.Load()
@@ -360,6 +361,7 @@ func (r *Registry) ResolveOperation(dialect, nativeName string) Operation {
 // Configuration category with the native name, for the same reason as
 // ResolveOperation's fallback. Like ResolveOperation, the read path is a
 // lock-free, allocation-free snapshot probe.
+//
 //uplan:hotpath
 func (r *Registry) ResolveProperty(dialect, nativeName string) (string, PropertyCategory) {
 	s := r.snap.Load()

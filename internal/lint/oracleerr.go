@@ -79,11 +79,11 @@ var OracleErrWorkerAPIs = []string{
 // sentinel that should be matched instead. Used to sharpen the
 // message-text-matching diagnostic.
 var oracleErrSentinels = map[string]string{
-	"unresolved column":        "exec.ErrUnresolvedColumn",
-	"not plannable":            "cert.ErrUnplannable",
-	"no cardinality estimate":  "cert.ErrNoEstimate",
-	"exposes no estimate":      "cert.ErrNoEstimate",
-	"no provable output-size":  "bounds.ErrNoBound",
+	"unresolved column":       "exec.ErrUnresolvedColumn",
+	"not plannable":           "cert.ErrUnplannable",
+	"no cardinality estimate": "cert.ErrNoEstimate",
+	"exposes no estimate":     "cert.ErrNoEstimate",
+	"no provable output-size": "bounds.ErrNoBound",
 }
 
 // OracleErr generalizes the dropped-oracle-signal bug class: discarded

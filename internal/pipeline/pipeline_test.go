@@ -3,7 +3,6 @@ package pipeline
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 
 	"uplan/internal/core"
@@ -74,69 +73,6 @@ func TestConvertBatchAllDialects(t *testing.T) {
 	}
 	if stats.PlansPerSec() <= 0 {
 		t.Errorf("plans/sec = %v, want > 0", stats.PlansPerSec())
-	}
-}
-
-// TestConvertBatchReuseArenas is the owned-batch arena mode's correctness
-// and race test: many records per worker force repeated Reset/Clone
-// cycles, results must match the default mode plan-for-plan, and every
-// returned plan must be fully detached (still valid after the workers —
-// and their arenas — are gone). Run under -race with multiple workers this
-// also proves per-worker arenas never leak across goroutines.
-func TestConvertBatchReuseArenas(t *testing.T) {
-	base := fixtures(t)
-	var recs []Record
-	for i := 0; i < 16; i++ { // enough repeats that every worker reuses its arena
-		recs = append(recs, base...)
-	}
-	want, _ := ConvertBatch(recs, Options{Workers: 4})
-	got, stats := ConvertBatch(recs, Options{Workers: 4, ReuseArenas: true, ChunkSize: 3})
-	if stats.Errors != 0 {
-		t.Fatalf("reuse-arena batch reported %d errors", stats.Errors)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d results, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i].Err != nil {
-			t.Fatalf("record %d (%s): %v", i, recs[i].Dialect, got[i].Err)
-		}
-		if !got[i].Plan.Equal(want[i].Plan) {
-			t.Errorf("record %d (%s): reuse-arena plan differs from default-mode plan",
-				i, recs[i].Dialect)
-		}
-		if err := got[i].Plan.Validate(); err != nil {
-			t.Errorf("record %d (%s): invalid detached plan: %v", i, recs[i].Dialect, err)
-		}
-	}
-}
-
-// TestPipelineStreamingReuseArenas covers the streaming pipeline's arena
-// path (workers outlive many records).
-func TestPipelineStreamingReuseArenas(t *testing.T) {
-	base := fixtures(t)
-	p := New(Options{Workers: 2, Ordered: true, ReuseArenas: true})
-	go func() {
-		for i := 0; i < 8; i++ {
-			for _, r := range base {
-				p.Submit(r)
-			}
-		}
-		p.Close()
-	}()
-	n := 0
-	for res := range p.Results() {
-		if res.Err != nil {
-			t.Errorf("seq %d (%s): %v", res.Seq, res.Record.Dialect, res.Err)
-			continue
-		}
-		if err := res.Plan.Validate(); err != nil {
-			t.Errorf("seq %d: invalid plan: %v", res.Seq, err)
-		}
-		n++
-	}
-	if want := 8 * len(base); n != want {
-		t.Fatalf("drained %d results, want %d", n, want)
 	}
 }
 
@@ -260,100 +196,6 @@ func findDialect(t *testing.T, recs []Record, dialect string) int {
 	return -1
 }
 
-// TestPipelineOrdered checks that ordered mode emits results in
-// submission order even with many workers racing.
-func TestPipelineOrdered(t *testing.T) {
-	recs := fixtures(t)
-	p := New(Options{Workers: 8, Buffer: 2, Ordered: true})
-	const rounds = 20
-	go func() {
-		for i := 0; i < rounds; i++ {
-			for _, r := range recs {
-				p.Submit(r)
-			}
-		}
-		p.Close()
-	}()
-	next := 0
-	for r := range p.Results() {
-		if r.Seq != next {
-			t.Fatalf("got Seq %d, want %d", r.Seq, next)
-		}
-		if want := recs[next%len(recs)].Dialect; r.Record.Dialect != want {
-			t.Fatalf("Seq %d is %q, want %q", r.Seq, r.Record.Dialect, want)
-		}
-		next++
-	}
-	if next != rounds*len(recs) {
-		t.Fatalf("received %d results, want %d", next, rounds*len(recs))
-	}
-}
-
-// TestPipelineUnorderedCoversAllSeqs checks that unordered mode emits
-// exactly one result per submitted record.
-func TestPipelineUnorderedCoversAllSeqs(t *testing.T) {
-	recs := fixtures(t)
-	p := New(Options{Workers: 4, Buffer: 1})
-	const rounds = 10
-	go func() {
-		for i := 0; i < rounds; i++ {
-			for _, r := range recs {
-				p.Submit(r)
-			}
-		}
-		p.Close()
-	}()
-	seen := map[int]bool{}
-	for r := range p.Results() {
-		if seen[r.Seq] {
-			t.Fatalf("Seq %d emitted twice", r.Seq)
-		}
-		seen[r.Seq] = true
-	}
-	if len(seen) != rounds*len(recs) {
-		t.Fatalf("received %d results, want %d", len(seen), rounds*len(recs))
-	}
-}
-
-// TestPipelineConcurrentSubmitters hammers one pipeline from many
-// submitting goroutines (run under -race in CI).
-func TestPipelineConcurrentSubmitters(t *testing.T) {
-	recs := fixtures(t)
-	p := New(Options{Workers: 6, Buffer: 4})
-	const (
-		submitters = 8
-		perSub     = 25
-	)
-	var wg sync.WaitGroup
-	wg.Add(submitters)
-	for s := 0; s < submitters; s++ {
-		go func(s int) {
-			defer wg.Done()
-			for i := 0; i < perSub; i++ {
-				p.Submit(recs[(s+i)%len(recs)])
-			}
-		}(s)
-	}
-	go func() {
-		wg.Wait()
-		p.Close()
-	}()
-	got := 0
-	for r := range p.Results() {
-		if r.Err != nil {
-			t.Errorf("%s: %v", r.Record.Dialect, r.Err)
-		}
-		got++
-	}
-	if got != submitters*perSub {
-		t.Fatalf("received %d results, want %d", got, submitters*perSub)
-	}
-	stats := p.Stats()
-	if stats.Records != submitters*perSub || stats.Errors != 0 {
-		t.Fatalf("stats = %+v, want %d records and no errors", stats, submitters*perSub)
-	}
-}
-
 // TestStatsHistogramMerge checks that per-dialect histograms equal the
 // sum of the individual plans' histograms regardless of worker count.
 func TestStatsHistogramMerge(t *testing.T) {
@@ -397,69 +239,11 @@ func TestStatsHistogramMerge(t *testing.T) {
 	}
 }
 
-// TestStatsSnapshotIsolation checks that a Stats snapshot is a deep copy.
-func TestStatsSnapshotIsolation(t *testing.T) {
-	recs := fixtures(t)
-	_, stats := ConvertBatch(recs, Options{Workers: 2})
-	snap := stats.clone()
-	for _, ds := range stats.Dialects {
-		ds.Converted = -1
-		ds.Operations[core.Producer] = -99
-	}
-	for _, ds := range snap.Dialects {
-		if ds.Converted == -1 || ds.Operations[core.Producer] == -99 {
-			t.Fatal("snapshot shares state with source")
-		}
-	}
-}
-
-// TestOptionsDefaults pins the documented zero-value behavior: batches
-// default to DefaultChunkSize, streams to per-record dispatch.
-func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults(DefaultChunkSize)
-	if o.Workers <= 0 {
-		t.Errorf("Workers default = %d, want > 0", o.Workers)
-	}
-	if o.Buffer != 2*o.Workers {
-		t.Errorf("Buffer default = %d, want %d", o.Buffer, 2*o.Workers)
-	}
-	if o.ChunkSize != DefaultChunkSize {
-		t.Errorf("batch ChunkSize default = %d, want %d", o.ChunkSize, DefaultChunkSize)
-	}
-	if o := (Options{}).withDefaults(1); o.ChunkSize != 1 {
-		t.Errorf("stream ChunkSize default = %d, want 1", o.ChunkSize)
-	}
-	o = Options{Workers: 3, Buffer: 9, ChunkSize: 5}.withDefaults(DefaultChunkSize)
-	if o.Workers != 3 || o.Buffer != 9 || o.ChunkSize != 5 {
-		t.Errorf("explicit options rewritten: %+v", o)
-	}
-}
-
-// TestPipelineSubmitThenWait locks the streaming default: with ChunkSize
-// unset, a caller may wait for each record's result before submitting
-// the next without deadlocking on a partially filled chunk.
-func TestPipelineSubmitThenWait(t *testing.T) {
-	recs := fixtures(t)
-	p := New(Options{Workers: 2})
-	for i, r := range recs {
-		seq := p.Submit(r)
-		res, ok := <-p.Results()
-		if !ok {
-			t.Fatal("results channel closed early")
-		}
-		if res.Seq != seq || res.Err != nil {
-			t.Fatalf("record %d: seq %d (want %d), err %v", i, res.Seq, seq, res.Err)
-		}
-	}
-	p.Close()
-	if _, ok := <-p.Results(); ok {
-		t.Fatal("unexpected extra result")
-	}
-}
-
 // TestConvertBatchChunkSizes checks that results and statistics are
 // identical whatever the chunk size — per-record dispatch, the default,
-// one oversized chunk, and a size that leaves a partial tail chunk.
+// one oversized chunk, a size that leaves a partial tail chunk — and for
+// the zero-value Options, which default Workers to GOMAXPROCS and
+// ChunkSize to DefaultChunkSize.
 func TestConvertBatchChunkSizes(t *testing.T) {
 	recs := fixtures(t)
 	var batch []Record
@@ -471,57 +255,35 @@ func TestConvertBatchChunkSizes(t *testing.T) {
 		Record{Dialect: "postgresql", Serialized: "garbage {{{"})
 
 	want, wantStats := ConvertBatch(batch, Options{Workers: 1, ChunkSize: len(batch)})
-	for _, cs := range []int{1, 7, DefaultChunkSize, len(batch), len(batch) * 3} {
-		got, stats := ConvertBatch(batch, Options{Workers: 4, ChunkSize: cs})
+	for _, opts := range []Options{
+		{Workers: 4, ChunkSize: 1},
+		{Workers: 4, ChunkSize: 7},
+		{Workers: 4, ChunkSize: DefaultChunkSize},
+		{Workers: 4, ChunkSize: len(batch)},
+		{Workers: 4, ChunkSize: len(batch) * 3},
+		{},
+	} {
+		got, stats := ConvertBatch(batch, opts)
 		if len(got) != len(want) {
-			t.Fatalf("chunk %d: %d results, want %d", cs, len(got), len(want))
+			t.Fatalf("%+v: %d results, want %d", opts, len(got), len(want))
 		}
 		for i := range got {
 			if got[i].Seq != i || got[i].Record != batch[i] {
-				t.Fatalf("chunk %d: result %d misplaced", cs, i)
+				t.Fatalf("%+v: result %d misplaced", opts, i)
 			}
 			if (got[i].Err != nil) != (want[i].Err != nil) {
-				t.Errorf("chunk %d: result %d error mismatch: %v vs %v",
-					cs, i, got[i].Err, want[i].Err)
+				t.Errorf("%+v: result %d error mismatch: %v vs %v",
+					opts, i, got[i].Err, want[i].Err)
 			}
 			if got[i].Err == nil && !got[i].Plan.Equal(want[i].Plan) {
-				t.Errorf("chunk %d: result %d plan differs", cs, i)
+				t.Errorf("%+v: result %d plan differs", opts, i)
 			}
 		}
 		if stats.Records != wantStats.Records || stats.Converted != wantStats.Converted ||
 			stats.Errors != wantStats.Errors {
-			t.Errorf("chunk %d: stats %d/%d/%d, want %d/%d/%d", cs,
+			t.Errorf("%+v: stats %d/%d/%d, want %d/%d/%d", opts,
 				stats.Records, stats.Converted, stats.Errors,
 				wantStats.Records, wantStats.Converted, wantStats.Errors)
-		}
-	}
-}
-
-// TestPipelineFlushesPartialChunk checks that records stuck in a partial
-// chunk are dispatched by Close, at every chunk size around the batch
-// size.
-func TestPipelineFlushesPartialChunk(t *testing.T) {
-	recs := fixtures(t)
-	for _, cs := range []int{1, 4, len(recs), len(recs) + 50} {
-		p := New(Options{Workers: 2, ChunkSize: cs})
-		go func() {
-			for _, r := range recs {
-				p.Submit(r)
-			}
-			p.Close()
-		}()
-		got := 0
-		for r := range p.Results() {
-			if r.Err != nil {
-				t.Errorf("chunk %d: %s: %v", cs, r.Record.Dialect, r.Err)
-			}
-			got++
-		}
-		if got != len(recs) {
-			t.Fatalf("chunk %d: received %d results, want %d", cs, got, len(recs))
-		}
-		if s := p.Stats(); s.Converted != len(recs) {
-			t.Errorf("chunk %d: stats.Converted = %d, want %d", cs, s.Converted, len(recs))
 		}
 	}
 }

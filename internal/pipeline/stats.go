@@ -26,14 +26,14 @@ type DialectStats struct {
 	Operations core.CategoryHistogram
 }
 
-// Stats aggregates a pipeline run.
+// Stats aggregates a ConvertBatch run.
 type Stats struct {
 	// Records, Converted, and Errors total the per-dialect counts.
 	Records   int
 	Converted int
 	Errors    int
-	// Elapsed is the wall time from pipeline start until the last worker
-	// finished.
+	// Elapsed is the wall time from the start of the batch until the
+	// last worker finished.
 	Elapsed time.Duration
 	// Dialects holds the per-dialect aggregates, keyed by lowercased
 	// dialect.
@@ -61,21 +61,6 @@ func (s *Stats) merge(key string, ds *DialectStats) {
 	s.Errors += ds.Errors
 }
 
-// clone deep-copies s so snapshots are isolated from later merges.
-func (s Stats) clone() Stats {
-	out := s
-	out.Dialects = make(map[string]*DialectStats, len(s.Dialects))
-	for k, ds := range s.Dialects {
-		cp := *ds
-		cp.Operations = core.CategoryHistogram{}
-		for cat, n := range ds.Operations {
-			cp.Operations[cat] += n
-		}
-		out.Dialects[k] = &cp
-	}
-	return out
-}
-
 // PlansPerSec is the overall conversion throughput: converted plans per
 // second of wall time. Zero before the run finishes.
 func (s Stats) PlansPerSec() float64 {
@@ -95,7 +80,7 @@ func (s Stats) DialectPlansPerSec(dialect string) float64 {
 	return float64(ds.Converted) / s.Elapsed.Seconds()
 }
 
-// Report is the machine-readable snapshot of a pipeline run, used by
+// Report is the machine-readable snapshot of a batch run, used by
 // benchmark tooling (uplan-bench -out) to record the perf trajectory.
 type Report struct {
 	Records        int             `json:"records"`

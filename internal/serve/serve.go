@@ -18,9 +18,10 @@
 //     health probes answering truthfully throughout (/readyz flips to 503
 //     the moment draining starts; /healthz stays 200 while alive).
 //   - Arena lifecycles: single conversions decode into pooled arenas that
-//     are reset and reused per request; batch conversions run the
-//     pipeline's owned-batch ReuseArenas mode. Plans never outlive their
-//     arena without a Clone detach (the arenaescape lint enforces this).
+//     are reset and reused per request; batch conversions go through
+//     pipeline.ConvertBatch, whose converters build each plan in a pooled
+//     arena and detach it. Plans never outlive their arena without a
+//     Clone detach (the arenaescape lint enforces this).
 //
 // cmd/uplan-serve is the binary; serveclient is the matching retrying
 // client; uplan-bench -experiment serve is the load generator.
@@ -86,9 +87,6 @@ type Options struct {
 	// (fingerprint-keyed LRU; see responseCache). Zero means
 	// DefaultCacheSize; negative disables the cache.
 	CacheSize int
-	// ReuseArenas selects the pipeline's owned-batch arena mode for batch
-	// requests (single conversions always use pooled request arenas).
-	ReuseArenas bool
 	// Store, when non-nil, attaches a campaign log: /v1/campaign-status
 	// reports it and Drain syncs it before returning. The caller owns the
 	// store's lifecycle (the server never closes it).
@@ -616,9 +614,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		records[i] = pipeline.Record{Dialect: cr.Dialect, Serialized: cr.Serialized}
 	}
 	results, stats := pipeline.ConvertBatch(records, pipeline.Options{
-		Workers:     s.opts.Workers,
-		ReuseArenas: s.opts.ReuseArenas,
-		Context:     ctx,
+		Workers: s.opts.Workers,
+		Context: ctx,
 	})
 	s.metrics.recordBatch(stats)
 

@@ -96,7 +96,7 @@ type CompareResponse struct {
 // state. Attached is false when the server runs without a store; every
 // other field is zero then.
 type CampaignStatusResponse struct {
-	Attached bool `json:"attached"`
+	Attached bool   `json:"attached"`
 	Dir      string `json:"dir,omitempty"`
 	// Plans and Findings count the distinct records the log currently
 	// holds (recovered plus appended since).

@@ -89,7 +89,7 @@ func TestStreamingDecoderMatchesLegacyPath(t *testing.T) {
 // TestArenaDecoderMatchesLegacyPath is the differential guard for the
 // arena memory model: across the full nine-dialect corpus, plans built
 // into one continuously reused arena (reset between records, detached with
-// Plan.Clone — exactly the pipeline's owned-batch mode) must serialize to
+// Plan.Clone — what the pooled Convert path does per record) must serialize to
 // byte-identical canonical text and hash to equal fingerprints as the
 // retained legacy reference path. This is what proves slab recycling,
 // frontier growth, and compact cloning never corrupt or reorder plan
