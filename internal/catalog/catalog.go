@@ -276,7 +276,7 @@ func BuildHistogram(values []datum.D, buckets int) *Histogram {
 	if buckets > len(sorted) {
 		buckets = len(sorted)
 	}
-	h := &Histogram{Total: len(sorted)}
+	h := &Histogram{Total: len(sorted), Bounds: make([]datum.D, 0, buckets)}
 	for b := 1; b <= buckets; b++ {
 		idx := b*len(sorted)/buckets - 1
 		h.Bounds = append(h.Bounds, sorted[idx])

@@ -258,24 +258,31 @@ var rowHashSeed = maphash.MakeSeed()
 func RowHash(row []D) uint64 {
 	h := uint64(len(row))
 	for _, d := range row {
-		// x is the value's hash within its key class; INT and FLOAT share
-		// the numeric class, as they share Key's "n" prefix.
-		var x uint64
-		switch d.K {
-		case KInt, KFloat:
-			f, _ := keyFloat(d)
-			x = math.Float64bits(f) ^ 0x9e3779b97f4a7c15
-		case KString:
-			x = maphash.String(rowHashSeed, d.S) ^ 0x3c6ef372fe94f82a
-		case KBool:
-			x = 0x510e527fade682d1
-			if d.B {
-				x++
-			}
-		}
-		h = mix64(h ^ x)
+		h = mix64(h ^ Hash(d))
 	}
 	return h
+}
+
+// Hash hashes one value consistently with Key: values with equal Keys
+// hash equally. The hash is the value's hash within its key class (INT
+// and FLOAT share the numeric class, as they share Key's "n" prefix),
+// unmixed; unequal values may collide, so callers confirm with KeyEqual.
+//
+//uplan:hotpath
+func Hash(d D) uint64 {
+	switch d.K {
+	case KInt, KFloat:
+		f, _ := keyFloat(d)
+		return math.Float64bits(f) ^ 0x9e3779b97f4a7c15
+	case KString:
+		return maphash.String(rowHashSeed, d.S) ^ 0x3c6ef372fe94f82a
+	case KBool:
+		if d.B {
+			return 0x510e527fade682d2
+		}
+		return 0x510e527fade682d1
+	}
+	return 0
 }
 
 // mix64 is the splitmix64 finalizer.

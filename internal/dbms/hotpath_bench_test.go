@@ -5,6 +5,7 @@ import (
 
 	"uplan/internal/dbms"
 	"uplan/internal/explain"
+	"uplan/internal/planner"
 	"uplan/internal/sql"
 	"uplan/internal/sqlancer"
 	"uplan/internal/tlp"
@@ -29,8 +30,8 @@ func hotPathEngine(b *testing.B, name string) (*dbms.Engine, *sqlancer.Generator
 
 // BenchmarkEngineHotPath times the engine-side steps of one campaign
 // query, each over a fixed set of generated queries: parsing, EXPLAIN in
-// each engine's JSON format, executing SELECT * (the shape of every TLP
-// query) and a whole TLP check.
+// each engine's JSON format, planning and executing SELECT * (the shape
+// of every TLP query) and a whole TLP check.
 func BenchmarkEngineHotPath(b *testing.B) {
 	const n = 64
 	b.Run("parse", func(b *testing.B) {
@@ -65,6 +66,22 @@ func BenchmarkEngineHotPath(b *testing.B) {
 			}
 		})
 	}
+	b.Run("plan", func(b *testing.B) {
+		e, gen := hotPathEngine(b, "postgresql")
+		pl := planner.New(e.DB.Schema, e.Opts)
+		stmts := make([]sql.Statement, n)
+		for i := range stmts {
+			table, pred := gen.PartitionableQuery()
+			stmts[i] = sql.MustParse("SELECT * FROM " + table + " WHERE " + pred)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := pl.Plan(stmts[i%n]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	b.Run("execute-select-star", func(b *testing.B) {
 		e, gen := hotPathEngine(b, "postgresql")
 		stmts := make([]sql.Statement, n)

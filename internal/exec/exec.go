@@ -55,9 +55,13 @@ type OpStats struct {
 }
 
 // Result is the materialized output of a statement. Rows are read-only:
-// operators hand rows up the plan without copying (an identity projection
-// returns its child's rows), so one row slice can back several results'
-// rows, and rows of one result share a backing slab.
+// operators hand rows up the plan without copying. Scans return the
+// table's stored rows themselves (storage.Table keeps them copy-on-write)
+// and an identity projection returns its child's rows, so a row may alias
+// storage and back several results at once, and rows of one result may
+// share a backing slab. Rows that alias storage or share a slab are capped
+// (cap == len), so appending to one allocates a new row instead of
+// writing into storage or a neighbour.
 type Result struct {
 	Columns []string
 	Rows    [][]datum.D
@@ -191,10 +195,7 @@ func (ex *Executor) runSeqScan(op *planner.PhysOp, outer *scope) ([][]datum.D, e
 	if tbl == nil {
 		return nil, fmt.Errorf("exec: no such table %q", op.Table)
 	}
-	var out [][]datum.D
-	if op.Filter == nil {
-		out = make([][]datum.D, 0, tbl.RowCount())
-	}
+	out := make([][]datum.D, 0, tbl.RowCount())
 	var scanErr error
 	sc := &scope{schema: op.Schema, parent: outer}
 	tbl.Scan(func(_ int, row storage.Row) bool {
@@ -212,29 +213,7 @@ func (ex *Executor) runSeqScan(op *planner.PhysOp, outer *scope) ([][]datum.D, e
 	if scanErr != nil {
 		return nil, scanErr
 	}
-	copyRows(out)
 	return out, nil
-}
-
-// copyRows replaces stored rows, which must never leave the executor, with
-// copies carved from one slab sized for exactly these rows. Each copy is
-// a capped 3-index slice: an append to one row reallocates it rather than
-// overwriting its neighbour.
-//
-//uplan:hotpath
-func copyRows(rows [][]datum.D) {
-	n := 0
-	for _, row := range rows {
-		n += len(row)
-	}
-	slab := make([]datum.D, n)
-	for i, row := range rows {
-		w := len(row)
-		dst := slab[:w:w]
-		slab = slab[w:]
-		copy(dst, row)
-		rows[i] = dst
-	}
 }
 
 func (ex *Executor) runIndexScan(op *planner.PhysOp, outer *scope) ([][]datum.D, error) {
@@ -262,7 +241,6 @@ func (ex *Executor) runIndexScan(op *planner.PhysOp, outer *scope) ([][]datum.D,
 			out = append(out, row)
 		}
 	}
-	copyRows(out)
 	return out, nil
 }
 
@@ -446,8 +424,8 @@ func (ex *Executor) runProject(op *planner.PhysOp, outer *scope) ([][]datum.D, e
 	}
 	child := op.Children[0]
 	if isScan(child) && isIdentityProjection(op.Projections, child.Schema) {
-		// SELECT * over a scan: the scan's rows are already fresh copies
-		// with exactly these columns.
+		// SELECT * over a scan: the scan's rows (the stored rows) already
+		// have exactly these columns.
 		return in, nil
 	}
 	out := make([][]datum.D, 0, len(in))
@@ -940,7 +918,7 @@ func (ex *Executor) runSort(op *planner.PhysOp, outer *scope) ([][]datum.D, erro
 	for i, k := range ks {
 		row := k.row
 		if op.HiddenTrailing > 0 && len(row) > visible {
-			row = row[:visible]
+			row = row[:visible:visible]
 		}
 		out[i] = row
 	}

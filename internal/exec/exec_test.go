@@ -473,3 +473,30 @@ func TestIndexCondLeadingColumnInvariant(t *testing.T) {
 		}
 	}
 }
+
+// TestResultRowsCapped pins that rows which alias storage or share a
+// slab are capped: sequential and index scans return the stored rows,
+// and a sort that strips hidden ORDER BY columns returns slab rows.
+func TestResultRowsCapped(t *testing.T) {
+	h := newHarness(t)
+	seedBasic(h)
+	h.exec("CREATE INDEX i1 ON t0 (c1)")
+	h.db.AnalyzeAll()
+	h.pl = planner.New(h.db.Schema, planner.Options{PreferIndexProbes: true})
+	for _, q := range []string{
+		"SELECT * FROM t0",
+		"SELECT * FROM t0 WHERE c1 = 20",
+		"SELECT * FROM t0 WHERE c1 >= 20",
+		"SELECT c0 FROM t0 ORDER BY c2, c1",
+	} {
+		res := h.exec(q)
+		if len(res.Rows) == 0 {
+			t.Fatalf("%q returned no rows", q)
+		}
+		for _, row := range res.Rows {
+			if cap(row) != len(row) {
+				t.Fatalf("%q: row %v has cap %d, len %d", q, row, cap(row), len(row))
+			}
+		}
+	}
+}

@@ -261,16 +261,19 @@ func (e *Estimator) BestIndex(tbl *catalog.Table, pred sql.Expr) *IndexMatch {
 		}
 		lead := ix.Columns[0]
 		var served []sql.Expr
-		var residual []sql.Expr
 		for _, c := range conjuncts {
 			if predicateTargets(c, lead) {
 				served = append(served, c)
-			} else {
-				residual = append(residual, c)
 			}
 		}
 		if len(served) == 0 {
-			continue
+			continue // most indexes serve nothing: build no residual
+		}
+		residual := make([]sql.Expr, 0, len(conjuncts)-len(served))
+		for _, c := range conjuncts {
+			if !predicateTargets(c, lead) {
+				residual = append(residual, c)
+			}
 		}
 		sel := 1.0
 		for _, c := range served {
@@ -339,15 +342,27 @@ func equalFold(a, b string) bool {
 	return true
 }
 
-// SplitConjuncts flattens nested ANDs into a conjunct list.
+// SplitConjuncts flattens nested ANDs into a conjunct list, in one
+// allocation sized by a first pass.
 func SplitConjuncts(e sql.Expr) []sql.Expr {
 	if e == nil {
 		return nil
 	}
+	return appendConjuncts(make([]sql.Expr, 0, countConjuncts(e)), e)
+}
+
+func countConjuncts(e sql.Expr) int {
 	if b, ok := e.(*sql.Binary); ok && b.Op == sql.OpAnd {
-		return append(SplitConjuncts(b.L), SplitConjuncts(b.R)...)
+		return countConjuncts(b.L) + countConjuncts(b.R)
 	}
-	return []sql.Expr{e}
+	return 1
+}
+
+func appendConjuncts(out []sql.Expr, e sql.Expr) []sql.Expr {
+	if b, ok := e.(*sql.Binary); ok && b.Op == sql.OpAnd {
+		return appendConjuncts(appendConjuncts(out, b.L), b.R)
+	}
+	return append(out, e)
 }
 
 // JoinConjuncts rebuilds an AND tree from a conjunct list (nil for empty).

@@ -72,8 +72,7 @@ func (pl *Planner) Estimator() *Estimator { return pl.est }
 func (pl *Planner) Plan(stmt sql.Statement) (*PhysOp, error) {
 	switch t := stmt.(type) {
 	case *sql.Select:
-		refs := collectColumnRefs(t)
-		return pl.planSelect(t, nil, refs)
+		return pl.planSelect(t, nil, &columnRefs{sel: t})
 	case *sql.Insert:
 		op := NewOp(OpInsert)
 		op.Table = t.Table
@@ -129,11 +128,7 @@ func (pl *Planner) planMutationScan(table string, where sql.Expr, stmt sql.State
 	if tbl == nil {
 		return nil, fmt.Errorf("planner: no such table %q", table)
 	}
-	refs := map[string]map[string]bool{}
-	if where != nil {
-		collectRefsFromExpr(where, refs, strings.ToLower(table))
-	}
-	scan := pl.planScan(tbl, table, where, refs)
+	scan := pl.planScan(tbl, table, where, &columnRefs{where: where, table: table})
 	if err := pl.planSubqueriesIn(scan, []sql.Expr{where}, scan.Schema); err != nil {
 		return nil, err
 	}
@@ -141,9 +136,9 @@ func (pl *Planner) planMutationScan(table string, where sql.Expr, stmt sql.State
 }
 
 // planSelect plans a full select. outer is the schema visible from
-// enclosing queries (for correlated subqueries); refs maps alias →
+// enclosing queries (for correlated subqueries); refs gives the alias →
 // referenced column set for covering-index decisions.
-func (pl *Planner) planSelect(sel *sql.Select, outer []OutCol, refs map[string]map[string]bool) (*PhysOp, error) {
+func (pl *Planner) planSelect(sel *sql.Select, outer []OutCol, refs *columnRefs) (*PhysOp, error) {
 	var op *PhysOp
 	var err error
 	if sel.Compound != nil {
@@ -224,7 +219,7 @@ func (pl *Planner) planSelect(sel *sql.Select, outer []OutCol, refs map[string]m
 	return op, nil
 }
 
-func (pl *Planner) planCompound(c *sql.Compound, outer []OutCol, refs map[string]map[string]bool) (*PhysOp, error) {
+func (pl *Planner) planCompound(c *sql.Compound, outer []OutCol, refs *columnRefs) (*PhysOp, error) {
 	left, err := pl.planSelect(c.Left, outer, refs)
 	if err != nil {
 		return nil, err
@@ -271,7 +266,7 @@ func (pl *Planner) planCompound(c *sql.Compound, outer []OutCol, refs map[string
 	return op, nil
 }
 
-func (pl *Planner) planCore(core *sql.SelectCore, outer []OutCol, refs map[string]map[string]bool, orderBy []sql.OrderItem) (*PhysOp, error) {
+func (pl *Planner) planCore(core *sql.SelectCore, outer []OutCol, refs *columnRefs, orderBy []sql.OrderItem) (*PhysOp, error) {
 	var input *PhysOp
 	var conjuncts []sql.Expr
 	if core.Where != nil {
@@ -309,7 +304,7 @@ func (pl *Planner) planCore(core *sql.SelectCore, outer []OutCol, refs map[strin
 	aggs := collectAggregates(core, orderBy)
 	if len(core.GroupBy) > 0 || len(aggs) > 0 {
 		agg := pl.planAggregate(core, aggs, input)
-		if err := pl.planSubqueriesIn(agg, exprList(core.GroupBy), input.Schema); err != nil {
+		if err := pl.planSubqueriesIn(agg, core.GroupBy, input.Schema); err != nil {
 			return nil, err
 		}
 		input = agg
@@ -350,7 +345,7 @@ func (pl *Planner) planCore(core *sql.SelectCore, outer []OutCol, refs map[strin
 
 // planFrom builds the join tree, pushing single-alias conjuncts into scans.
 // It returns the remaining conjuncts.
-func (pl *Planner) planFrom(ref sql.TableRef, conjuncts []sql.Expr, refs map[string]map[string]bool) (*PhysOp, []sql.Expr, error) {
+func (pl *Planner) planFrom(ref sql.TableRef, conjuncts []sql.Expr, refs *columnRefs) (*PhysOp, []sql.Expr, error) {
 	switch t := ref.(type) {
 	case *sql.BaseTable:
 		tbl := pl.Schema.Table(t.Name)
@@ -362,11 +357,10 @@ func (pl *Planner) planFrom(ref sql.TableRef, conjuncts []sql.Expr, refs map[str
 			alias = t.Name
 		}
 		mine, rest := splitByAlias(conjuncts, alias, tbl)
-		scan := pl.planScanAliased(tbl, alias, JoinConjuncts(mine), refs)
+		scan := pl.planScan(tbl, alias, JoinConjuncts(mine), refs)
 		return scan, rest, nil
 	case *sql.SubqueryRef:
-		subRefs := collectColumnRefs(t.Sub)
-		sub, err := pl.planSelect(t.Sub, nil, subRefs)
+		sub, err := pl.planSelect(t.Sub, nil, &columnRefs{sel: t.Sub})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -434,67 +428,69 @@ func primaryAlias(op *PhysOp) string {
 	return ""
 }
 
-// planScanAliased plans the access path for one base table.
-func (pl *Planner) planScanAliased(tbl *catalog.Table, alias string, filter sql.Expr, refs map[string]map[string]bool) *PhysOp {
-	scan := pl.planScan(tbl, alias, filter, refs)
-	return scan
+// planScan plans the access path for one base table. The sequential and
+// index candidates are compared by their estimates alone; only the
+// winner is built.
+//
+//uplan:hotpath
+func (pl *Planner) planScan(tbl *catalog.Table, alias string, filter sql.Expr, refs *columnRefs) *PhysOp {
+	rows := pl.est.TableRows(tbl.Name)
+	seqRows := math.Max(minRows, rows*pl.est.Selectivity(filter, tbl.Name))
+	seqCost := rows*costSeqRow + rows*costCPUTuple
+	seq := func() *PhysOp {
+		op := scanOp(OpSeqScan, tbl, alias, filter)
+		op.EstRows = seqRows
+		op.TotalCost = seqCost
+		return op
+	}
+
+	if pl.Opts.NoIndexes || filter == nil {
+		if filter == nil && pl.Opts.PreferIndexOnly {
+			if best := pl.coveringIndexOnly(tbl, alias, refs, rows); best != nil {
+				return best
+			}
+		}
+		return seq()
+	}
+	match := pl.est.BestIndex(tbl, filter)
+	if match == nil {
+		return seq()
+	}
+	matchRows := math.Max(minRows, rows*match.Selectivity)
+	idxCost := math.Log2(rows+2)*costIndexStep + matchRows*costRandomRow
+	kind, cost := OpIndexScan, idxCost+matchRows*costCPUTuple
+	// Covering index: all referenced columns are in the index.
+	if coversRefs(match.Index, tbl, alias, refs.get()) {
+		kind = OpIndexOnlyScan
+		cost = math.Log2(rows+2)*costIndexStep + matchRows*(costSeqRow+costCPUTuple)
+	}
+	if !(pl.Opts.PreferIndexProbes && condHasProbe(match.IndexCond)) && cost >= seqCost {
+		return seq()
+	}
+	ix := scanOp(kind, tbl, alias, match.Residual)
+	ix.Index = match.Index.Name
+	ix.IndexCond = match.IndexCond
+	ix.EstRows = math.Max(minRows, matchRows*pl.est.Selectivity(match.Residual, tbl.Name))
+	ix.StartCost = math.Log2(rows + 2)
+	ix.TotalCost = cost
+	return ix
 }
 
-func (pl *Planner) planScan(tbl *catalog.Table, alias string, filter sql.Expr, refs map[string]map[string]bool) *PhysOp {
-	rows := pl.est.TableRows(tbl.Name)
+// scanOp builds a scan of every column of the table under the alias.
+func scanOp(kind OpKind, tbl *catalog.Table, alias string, filter sql.Expr) *PhysOp {
 	schema := make([]OutCol, len(tbl.Columns))
 	for i, c := range tbl.Columns {
 		schema[i] = OutCol{Table: alias, Name: c.Name}
 	}
-	width := len(tbl.Columns) * defaultWidth
-
-	seq := NewOp(OpSeqScan)
-	seq.Table = tbl.Name
-	seq.Alias = alias
-	seq.Filter = filter
-	seq.Schema = schema
-	seq.Width = width
-	sel := pl.est.Selectivity(filter, tbl.Name)
-	seq.EstRows = math.Max(minRows, rows*sel)
-	seq.StartCost = 0
-	seq.TotalCost = rows*costSeqRow + rows*costCPUTuple
-
-	if pl.Opts.NoIndexes || filter == nil {
-		if best := pl.coveringIndexOnly(tbl, alias, refs, rows); best != nil && filter == nil && pl.Opts.PreferIndexOnly {
-			return best
-		}
-		return seq
+	return &PhysOp{
+		Kind:   kind,
+		Limit:  -1,
+		Table:  tbl.Name,
+		Alias:  alias,
+		Filter: filter,
+		Schema: schema,
+		Width:  len(tbl.Columns) * defaultWidth,
 	}
-	match := pl.est.BestIndex(tbl, filter)
-	if match == nil {
-		return seq
-	}
-	matchRows := math.Max(minRows, rows*match.Selectivity)
-	idxCost := math.Log2(rows+2)*costIndexStep + matchRows*costRandomRow
-	ix := NewOp(OpIndexScan)
-	ix.Table = tbl.Name
-	ix.Alias = alias
-	ix.Index = match.Index.Name
-	ix.IndexCond = match.IndexCond
-	ix.Filter = match.Residual
-	ix.Schema = schema
-	ix.Width = width
-	resSel := pl.est.Selectivity(match.Residual, tbl.Name)
-	ix.EstRows = math.Max(minRows, matchRows*resSel)
-	ix.StartCost = math.Log2(rows + 2)
-	ix.TotalCost = idxCost + matchRows*costCPUTuple
-	// Covering index: all referenced columns are in the index.
-	if covers(match.Index, neededColumns(tbl, alias, refs)) {
-		ix.Kind = OpIndexOnlyScan
-		ix.TotalCost = math.Log2(rows+2)*costIndexStep + matchRows*(costSeqRow+costCPUTuple)
-	}
-	if pl.Opts.PreferIndexProbes && condHasProbe(match.IndexCond) {
-		return ix
-	}
-	if ix.TotalCost < seq.TotalCost {
-		return ix
-	}
-	return seq
 }
 
 // condHasProbe reports whether the index condition contains a usable probe
@@ -517,66 +513,55 @@ func condHasProbe(cond sql.Expr) bool {
 	return false
 }
 
-// neededColumns merges the alias's qualified references with unqualified
-// ("*") references that name one of the table's columns.
-func neededColumns(tbl *catalog.Table, alias string, refs map[string]map[string]bool) map[string]bool {
-	need := map[string]bool{}
+// coversRefs reports whether the index holds every column the alias
+// needs: the alias's qualified references, plus unqualified ("*")
+// references that name one of the table's columns. An alias that needs
+// no column is not covered.
+func coversRefs(ix *catalog.Index, tbl *catalog.Table, alias string, refs map[string]map[string]bool) bool {
+	needs := false
 	for col := range refs[strings.ToLower(alias)] {
-		need[col] = true
+		if !indexHas(ix, col) {
+			return false
+		}
+		needs = true
 	}
 	for col := range refs["*"] {
-		if tbl.ColumnIndex(col) >= 0 {
-			need[col] = true
+		if tbl.ColumnIndex(col) < 0 {
+			continue
+		}
+		if !indexHas(ix, col) {
+			return false
+		}
+		needs = true
+	}
+	return needs
+}
+
+// indexHas reports whether the index has the lower-cased column.
+func indexHas(ix *catalog.Index, col string) bool {
+	for _, c := range ix.Columns {
+		if strings.ToLower(c) == col {
+			return true
 		}
 	}
-	if len(need) == 0 {
-		return nil
-	}
-	return need
+	return false
 }
 
 // coveringIndexOnly builds an unconditional index-only scan when an index
 // covers every referenced column of the alias.
-func (pl *Planner) coveringIndexOnly(tbl *catalog.Table, alias string, refs map[string]map[string]bool, rows float64) *PhysOp {
-	need := neededColumns(tbl, alias, refs)
-	if need == nil {
-		return nil
-	}
+func (pl *Planner) coveringIndexOnly(tbl *catalog.Table, alias string, refs *columnRefs, rows float64) *PhysOp {
 	for _, ixDef := range tbl.Indexes {
-		if !covers(ixDef, need) {
+		if !coversRefs(ixDef, tbl, alias, refs.get()) {
 			continue
 		}
-		schema := make([]OutCol, len(tbl.Columns))
-		for i, c := range tbl.Columns {
-			schema[i] = OutCol{Table: alias, Name: c.Name}
-		}
-		ix := NewOp(OpIndexOnlyScan)
-		ix.Table = tbl.Name
-		ix.Alias = alias
+		ix := scanOp(OpIndexOnlyScan, tbl, alias, nil)
 		ix.Index = ixDef.Name
-		ix.Schema = schema
 		ix.Width = len(ixDef.Columns) * defaultWidth
 		ix.EstRows = rows
 		ix.TotalCost = rows * (costSeqRow*0.5 + costCPUTuple)
 		return ix
 	}
 	return nil
-}
-
-func covers(ix *catalog.Index, need map[string]bool) bool {
-	if need == nil || len(need) == 0 {
-		return false
-	}
-	have := map[string]bool{}
-	for _, c := range ix.Columns {
-		have[strings.ToLower(c)] = true
-	}
-	for col := range need {
-		if !have[col] {
-			return false
-		}
-	}
-	return true
 }
 
 // planJoin selects a join algorithm for one JoinRef.
@@ -771,19 +756,49 @@ func (pl *Planner) planAggregate(core *sql.SelectCore, aggs []*sql.FuncCall, inp
 	return agg
 }
 
-// planProject builds the projection for the select items.
+// planProject builds the projection for the select items. exprs and
+// schema are sized up front, and the column references a star expands to
+// come from one slab.
+//
+//uplan:hotpath
 func (pl *Planner) planProject(core *sql.SelectCore, input *PhysOp) (*PhysOp, error) {
 	proj := NewOp(OpProject, input)
-	var exprs []sql.Expr
-	var schema []OutCol
+	exprCols, starCols := 0, 0
 	for _, item := range core.Items {
 		if star, ok := item.Expr.(*sql.Star); ok {
 			for _, c := range input.Schema {
-				if star.Table != "" && !strings.EqualFold(c.Table, star.Table) {
+				if starMatches(star, c) {
+					starCols++
+				}
+			}
+			continue
+		}
+		exprCols++
+	}
+	exprs := make([]sql.Expr, 0, exprCols+starCols)
+	starRefs := make([]sql.ColumnRef, starCols)
+	// A lone star that keeps every input column has the input's schema,
+	// which the projection shares (capped, so an append copies it).
+	shared := exprCols == 0 && len(core.Items) == 1 && starCols == len(input.Schema)
+	var schema []OutCol
+	if shared {
+		schema = input.Schema[:starCols:starCols]
+	} else {
+		schema = make([]OutCol, 0, exprCols+starCols)
+	}
+	for _, item := range core.Items {
+		if star, ok := item.Expr.(*sql.Star); ok {
+			for _, c := range input.Schema {
+				if !starMatches(star, c) {
 					continue
 				}
-				exprs = append(exprs, &sql.ColumnRef{Table: c.Table, Name: c.Name})
-				schema = append(schema, c)
+				ref := &starRefs[0]
+				starRefs = starRefs[1:]
+				*ref = sql.ColumnRef{Table: c.Table, Name: c.Name}
+				exprs = append(exprs, ref)
+				if !shared {
+					schema = append(schema, c)
+				}
 			}
 			continue
 		}
@@ -817,6 +832,11 @@ func (pl *Planner) planProject(core *sql.SelectCore, input *PhysOp) (*PhysOp, er
 	return proj, nil
 }
 
+// starMatches reports whether a star item expands to the column.
+func starMatches(star *sql.Star, c OutCol) bool {
+	return star.Table == "" || strings.EqualFold(c.Table, star.Table)
+}
+
 // planSubqueriesIn plans every subquery appearing in the expressions and
 // attaches the subplans to op.
 func (pl *Planner) planSubqueriesIn(op *PhysOp, exprs []sql.Expr, scope []OutCol) error {
@@ -843,8 +863,7 @@ func (pl *Planner) planSubqueriesIn(op *PhysOp, exprs []sql.Expr, scope []OutCol
 					return true // already planned for this operator
 				}
 			}
-			refs := collectColumnRefs(sub)
-			plan, perr := pl.planSelect(sub, scope, refs)
+			plan, perr := pl.planSelect(sub, scope, &columnRefs{sel: sub})
 			if perr != nil {
 				err = perr
 				return false
@@ -858,8 +877,6 @@ func (pl *Planner) planSubqueriesIn(op *PhysOp, exprs []sql.Expr, scope []OutCol
 	}
 	return nil
 }
-
-func exprList(es []sql.Expr) []sql.Expr { return es }
 
 // resolvesInSchema reports whether an ORDER BY key can be evaluated against
 // the given output schema: it matches a column or expression column, or
@@ -918,6 +935,30 @@ func collectAggregates(core *sql.SelectCore, orderBy []sql.OrderItem) []*sql.Fun
 		visit(o.Expr)
 	}
 	return out
+}
+
+// columnRefs is the alias → referenced-column set that covering-index
+// decisions read, for a select or for a mutation's WHERE. It is built on
+// first use: most scans never ask for it.
+type columnRefs struct {
+	sel   *sql.Select // the select, or nil for a mutation
+	where sql.Expr    // the mutation's WHERE, read under alias table
+	table string
+	m     map[string]map[string]bool
+	built bool
+}
+
+func (r *columnRefs) get() map[string]map[string]bool {
+	if !r.built {
+		r.built = true
+		if r.sel != nil {
+			r.m = collectColumnRefs(r.sel)
+		} else {
+			r.m = map[string]map[string]bool{}
+			collectRefsFromExpr(r.where, r.m, strings.ToLower(r.table))
+		}
+	}
+	return r.m
 }
 
 // collectColumnRefs maps alias → set of referenced column names for the

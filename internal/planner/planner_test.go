@@ -294,3 +294,22 @@ func TestBestIndex(t *testing.T) {
 		t.Error("no index on c1")
 	}
 }
+
+// TestPlanStarSchema pins the projection schema of star items: a lone
+// star shares its input's schema, and qualified stars follow the select
+// list's order, not the input's.
+func TestPlanStarSchema(t *testing.T) {
+	pl := New(testSchema(t), Options{})
+	p := mustPlan(t, pl, "SELECT * FROM t1 WHERE c0 > 5")
+	if got, want := p.ColumnNames(), p.Children[0].ColumnNames(); strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("SELECT * columns %v, scan columns %v", got, want)
+	}
+	p = mustPlan(t, pl, "SELECT t1.*, t0.* FROM t0 INNER JOIN t1 ON t0.c0 = t1.c0")
+	var got []string
+	for _, c := range p.Schema {
+		got = append(got, c.Table+"."+c.Name)
+	}
+	if want := "t1.c0,t1.v,t0.c0,t0.c1"; strings.Join(got, ",") != want {
+		t.Fatalf("SELECT t1.*, t0.* columns %v, want %s", got, want)
+	}
+}

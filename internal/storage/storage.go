@@ -4,7 +4,9 @@
 package storage
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -17,6 +19,14 @@ import (
 type Row []datum.D
 
 // Table is one heap table with its secondary indexes.
+//
+// Stored rows are copy-on-write: Insert stores a copy of the row it is
+// given, Update replaces the stored slice with a copy instead of writing
+// into it, and Delete only tombstones. No stored row is ever written
+// after it is stored, so Scan and Get hand out the stored slices
+// themselves, and the executor returns them without copying. Every stored
+// row is capped at its length (cap == len): an append to a row handed out
+// reallocates it rather than writing past its end.
 type Table struct {
 	Def     *catalog.Table
 	rows    []Row
@@ -145,7 +155,7 @@ func (t *Table) Insert(row Row) (int, error) {
 			}
 		}
 	}
-	t.rows = append(t.rows, append(Row(nil), row...))
+	t.rows = append(t.rows, storedCopy(row))
 	t.deleted = append(t.deleted, false)
 	t.live++
 	for _, ix := range t.indexes {
@@ -177,7 +187,7 @@ func (t *Table) Update(rowID int, row Row) error {
 		return fmt.Errorf("storage: row width mismatch")
 	}
 	old := t.rows[rowID]
-	t.rows[rowID] = append(Row(nil), row...)
+	t.rows[rowID] = storedCopy(row)
 	for _, ix := range t.indexes {
 		if ix.sameKey(old, row) {
 			// Removing and re-inserting an unchanged key would put back
@@ -190,6 +200,14 @@ func (t *Table) Update(rowID int, row Row) error {
 		}
 	}
 	return nil
+}
+
+// storedCopy copies a row for storage. make gives cap == len exactly,
+// which the copy-on-write invariant on Table relies on.
+func storedCopy(row Row) Row {
+	out := make(Row, len(row))
+	copy(out, row)
+	return out
 }
 
 // sameKey reports whether two rows hold identical values in the index's
@@ -358,15 +376,13 @@ func (db *DB) Analyze(table string) error {
 	}
 	for ci, col := range t.Def.Columns {
 		cs := &catalog.ColumnStats{Min: datum.Null(), Max: datum.Null()}
-		distinct := map[string]bool{}
-		var values []datum.D
+		values := make([]datum.D, 0, t.live)
 		t.Scan(func(_ int, row Row) bool {
 			v := row[ci]
 			if v.IsNull() {
 				cs.NullCount++
 				return true
 			}
-			distinct[v.Key()] = true
 			values = append(values, v)
 			if cs.Min.IsNull() || datum.SortCompare(v, cs.Min) < 0 {
 				cs.Min = v
@@ -376,12 +392,54 @@ func (db *DB) Analyze(table string) error {
 			}
 			return true
 		})
-		cs.Distinct = len(distinct)
+		cs.Distinct = countDistinct(values)
 		cs.Histogram = catalog.BuildHistogram(values, 32)
 		stats.Columns[strings.ToLower(col.Name)] = cs
 	}
 	db.Schema.SetStats(table, stats)
 	return nil
+}
+
+// valueHash is datum.Hash; tests swap it to force collisions.
+var valueHash = datum.Hash
+
+// hashedValue pairs a value's hash with its position for countDistinct.
+type hashedValue struct {
+	h   uint64
+	i   int
+	dup bool // KeyEqual to an earlier value of its hash run
+}
+
+// countDistinct counts the distinct Keys among values without building a
+// Key string per value: it orders the values by hash and, within each run
+// of equal hashes, compares every value (KeyEqual) with the run's earlier
+// distinct values.
+func countDistinct(values []datum.D) int {
+	hs := make([]hashedValue, len(values))
+	for i, v := range values {
+		hs[i] = hashedValue{h: valueHash(v), i: i}
+	}
+	slices.SortFunc(hs, func(a, b hashedValue) int { return cmp.Compare(a.h, b.h) })
+	n := 0
+	for start := 0; start < len(hs); {
+		end := start + 1
+		for end < len(hs) && hs[end].h == hs[start].h {
+			end++
+		}
+		for i := start; i < end; i++ {
+			for j := start; j < i; j++ {
+				if !hs[j].dup && datum.KeyEqual(values[hs[i].i], values[hs[j].i]) {
+					hs[i].dup = true
+					break
+				}
+			}
+			if !hs[i].dup {
+				n++
+			}
+		}
+		start = end
+	}
+	return n
 }
 
 // AnalyzeAll runs Analyze on every table.

@@ -13,11 +13,15 @@ import (
 
 	"uplan/internal/datum"
 	"uplan/internal/exec"
+	"uplan/internal/sql"
 )
 
 // Engine is the minimal interface TLP needs; *dbms.Engine satisfies it.
+// Execute(q) must behave as ExecuteStmt of sql.Parse(q), counting a
+// statement that fails to parse as one statement too.
 type Engine interface {
 	Execute(query string) (*exec.Result, error)
+	ExecuteStmt(stmt sql.Statement) (*exec.Result, error)
 }
 
 // Violation describes a TLP mismatch.
@@ -38,35 +42,114 @@ func (v *Violation) Error() string {
 // predicate. It returns a Violation when the partition union differs from
 // the unpartitioned result, nil when consistent, and an error for
 // execution failures (which QPG reports as crash-class bugs).
+//
+// The first partition is parsed once and the base query and the other
+// two partitions are built around its predicate AST (see
+// partitionStmts). When that is not possible the four queries run as
+// text. Either way the engine sees the same statements in the same order.
+//
+//uplan:hotpath
 func Check(e Engine, table, predicate string) (*Violation, error) {
-	base := fmt.Sprintf("SELECT * FROM %s", table)
-	parts := [3]string{
-		fmt.Sprintf("SELECT * FROM %s WHERE %s", table, predicate),
-		fmt.Sprintf("SELECT * FROM %s WHERE NOT (%s)", table, predicate),
-		fmt.Sprintf("SELECT * FROM %s WHERE (%s) IS NULL", table, predicate),
+	stmts := partitionStmts(table, predicate)
+	run := func(i int) (*exec.Result, error) {
+		if stmts != nil {
+			return e.ExecuteStmt(stmts[i])
+		}
+		return e.Execute(queryTexts(table, predicate)[i])
 	}
-	baseRes, err := e.Execute(base)
+	baseRes, err := run(0)
 	if err != nil {
 		return nil, fmt.Errorf("tlp: base query: %w", err)
 	}
-	var union [][]datum.D
-	for _, q := range parts {
-		res, err := e.Execute(q)
+	var parts [3]*exec.Result
+	n := 0
+	for i := range parts {
+		res, err := run(i + 1)
 		if err != nil {
-			return nil, fmt.Errorf("tlp: partition %q: %w", q, err)
+			return nil, fmt.Errorf("tlp: partition %q: %w", queryTexts(table, predicate)[i+1], err)
 		}
+		parts[i] = res
+		n += len(res.Rows)
+	}
+	union := make([][]datum.D, 0, n)
+	for _, res := range parts {
 		union = append(union, res.Rows...)
 	}
 	if diff := multisetDiff(baseRes.Rows, union); diff != "" {
+		q := queryTexts(table, predicate)
 		return &Violation{
-			Base:       base,
-			Partitions: parts,
+			Base:       q[0],
+			Partitions: [3]string{q[1], q[2], q[3]},
 			BaseRows:   len(baseRes.Rows),
 			UnionRows:  len(union),
 			Detail:     diff,
 		}, nil
 	}
 	return nil, nil
+}
+
+// queryTexts returns the base query and the three partitions as text.
+func queryTexts(table, predicate string) [4]string {
+	base := "SELECT * FROM " + table
+	return [4]string{
+		base,
+		base + " WHERE " + predicate,
+		base + " WHERE NOT (" + predicate + ")",
+		base + " WHERE (" + predicate + ") IS NULL",
+	}
+}
+
+// partitionASTs holds the statements partitionStmts builds, in one
+// allocation.
+type partitionASTs struct {
+	stmts  [4]sql.Statement
+	sels   [3]sql.Select
+	cores  [3]sql.SelectCore
+	not    sql.Unary
+	isNull sql.IsNull
+}
+
+// partitionStmts parses the first partition, SELECT * FROM table WHERE p,
+// and builds the base query and the NOT (p) and (p) IS NULL partitions
+// around the parsed p, in queryTexts order. Each built statement equals
+// what sql.Parse returns for its text: the parser makes no node for
+// parentheses, so NOT (p) parses to Unary{NOT, p} and (p) IS NULL to
+// IsNull{p}. It returns nil, and the caller runs the texts, unless the
+// parse gives exactly SELECT * FROM table WHERE p with p the whole
+// predicate. A predicate with a line comment or a semicolon is never
+// taken: inside the parentheses the comment would swallow the closing
+// one, and the semicolon is only legal at the very end.
+func partitionStmts(table, predicate string) *[4]sql.Statement {
+	if strings.Contains(predicate, "--") || strings.IndexByte(predicate, ';') >= 0 {
+		return nil
+	}
+	stmt, err := sql.Parse("SELECT * FROM " + table + " WHERE " + predicate)
+	if err != nil {
+		return nil
+	}
+	sel, ok := stmt.(*sql.Select)
+	if !ok || sel.Core == nil || sel.Compound != nil || sel.OrderBy != nil || sel.Limit != nil || sel.Offset != nil {
+		return nil
+	}
+	core := sel.Core
+	if core.Where == nil || core.Distinct || core.GroupBy != nil || core.Having != nil || len(core.Items) != 1 {
+		return nil
+	}
+	if star, ok := core.Items[0].Expr.(*sql.Star); !ok || star.Table != "" || core.Items[0].Alias != "" {
+		return nil
+	}
+	if bt, ok := core.From.(*sql.BaseTable); !ok || bt.Name != table {
+		return nil
+	}
+	a := new(partitionASTs)
+	a.not = sql.Unary{Op: "NOT", X: core.Where}
+	a.isNull = sql.IsNull{X: core.Where}
+	for i, where := range [3]sql.Expr{nil, &a.not, &a.isNull} {
+		a.cores[i] = sql.SelectCore{Items: core.Items, From: core.From, Where: where}
+		a.sels[i] = sql.Select{Core: &a.cores[i]}
+	}
+	a.stmts = [4]sql.Statement{&a.sels[0], sel, &a.sels[1], &a.sels[2]}
+	return &a.stmts
 }
 
 // multisetDiff compares two row multisets, returning a short description
