@@ -359,9 +359,9 @@ func BenchmarkConvertPostgresText(b *testing.B) {
 // BenchmarkConvertText measures every dialect's text/table converter — the
 // formats the arena + zero-copy line-slicing rewrite targets — through the
 // cached one-shot path (pooled arena + detach, what uplan.Convert does)
-// and through a reused arena (ConvertInto + Reset, plans not retained). Inputs come from bench.TextSamples, shared
-// with uplan-bench's -experiment text so both trajectories measure the
-// same plans.
+// and through a reused arena (ConvertInto + Reset, plans not retained).
+// Inputs come from bench.TextSamples, one representative plan per
+// text-format dialect.
 func BenchmarkConvertText(b *testing.B) {
 	samples, err := bench.TextSamples(42)
 	if err != nil {

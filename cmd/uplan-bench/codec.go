@@ -1,84 +1,17 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"runtime"
 	"sort"
-	"time"
 
 	"uplan/internal/bench"
 	"uplan/internal/codec"
 	"uplan/internal/convert"
 	"uplan/internal/core"
 )
-
-// codecResult is the machine-readable outcome of the codec experiment,
-// written by -out. It records the binary format's two claims: the packed
-// corpus is smaller than the JSON serialization, and decoding it is
-// multiples faster than the streaming JSON path.
-type codecResult struct {
-	Experiment    string `json:"experiment"`
-	Seed          int64  `json:"seed"`
-	CorpusRecords int    `json:"corpus_records"`
-	// PackedBytes and JSONBytes compare the corpus's binary size against
-	// the sum of its canonical JSON serializations.
-	PackedBytes int     `json:"packed_bytes"`
-	JSONBytes   int     `json:"json_bytes"`
-	PackedRatio float64 `json:"packed_ratio"`
-	// Decode paths, full corpus passes: Oneshot allocates a fresh arena
-	// per plan, Reuse cycles one arena (the acceptance configuration),
-	// JSON reparses the same plans from their canonical JSON via
-	// core.ParseJSON — the format a stored corpus would otherwise use.
-	// (The native-EXPLAIN streaming path is benchmarked separately as
-	// BenchmarkDecodeJSON/stream; the codec-vs-stream ratio lives in
-	// BenchmarkCodecDecode.)
-	Oneshot decodeRun `json:"decode_oneshot"`
-	Reuse   decodeRun `json:"decode_reuse"`
-	JSON    decodeRun `json:"decode_parse_json"`
-	// SpeedupVsJSON is Reuse.PlansPerSec / JSON.PlansPerSec.
-	SpeedupVsJSON float64 `json:"speedup_vs_parse_json"`
-}
-
-// decodeRun records one decode strategy's throughput over repeated full
-// corpus passes.
-type decodeRun struct {
-	Plans         int     `json:"plans"`
-	Passes        int     `json:"passes"`
-	Seconds       float64 `json:"seconds"`
-	PlansPerSec   float64 `json:"plans_per_sec"`
-	NsPerPlan     float64 `json:"ns_per_plan"`
-	AllocsPerPlan float64 `json:"allocs_per_plan"`
-}
-
-// measureDecode runs fn (one full corpus pass) passes times and reports
-// the per-plan cost.
-func measureDecode(plans, passes int, fn func() error) (decodeRun, error) {
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	for i := 0; i < passes; i++ {
-		if err := fn(); err != nil {
-			return decodeRun{}, err
-		}
-	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
-	total := plans * passes
-	return decodeRun{
-		Plans:         plans,
-		Passes:        passes,
-		Seconds:       elapsed.Seconds(),
-		PlansPerSec:   float64(total) / elapsed.Seconds(),
-		NsPerPlan:     float64(elapsed.Nanoseconds()) / float64(total),
-		AllocsPerPlan: float64(after.Mallocs-before.Mallocs) / float64(total),
-	}, nil
-}
 
 // runCodecUnpack opens an existing packed corpus, decodes every plan, and
 // prints a summary — the verification half of -pack.
@@ -124,18 +57,15 @@ func sortedKeys(m map[string]int) []string {
 	return keys
 }
 
-// runCodecExperiment packs the converted corpus into the binary format
-// and measures the decode paths against the streaming JSON reference.
-// packPath, when non-empty, keeps the packed corpus file (otherwise it
-// lives in a temp directory for the run); iters is the number of full
-// corpus passes per decode path.
-func runCodecExperiment(seed int64, iters int, packPath, out string) error {
+// runCodecPack packs the converted corpus into the binary format at path
+// and prints the packed size against the corpus's canonical JSON bytes.
+// Decode throughput is measured by BenchmarkCodecDecode, not here.
+func runCodecPack(seed int64, path string) error {
 	corpus, err := bench.Corpus(seed)
 	if err != nil {
 		return err
 	}
 	plans := make([]*core.Plan, len(corpus))
-	jsonBodies := make([][]byte, len(corpus))
 	jsonBytes := 0
 	for i, rec := range corpus {
 		c, err := convert.Cached(rec.Dialect)
@@ -151,18 +81,7 @@ func runCodecExperiment(seed int64, iters int, packPath, out string) error {
 		if err != nil {
 			return err
 		}
-		jsonBodies[i] = body
 		jsonBytes += len(body)
-	}
-
-	path := packPath
-	if path == "" {
-		dir, err := os.MkdirTemp("", "uplan-codec-*")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(dir)
-		path = filepath.Join(dir, "corpus.upc")
 	}
 	if err := codec.WriteCorpusFile(path, plans); err != nil {
 		return err
@@ -171,88 +90,8 @@ func runCodecExperiment(seed int64, iters int, packPath, out string) error {
 	if err != nil {
 		return err
 	}
-
-	result := codecResult{
-		Experiment:    "codec",
-		Seed:          seed,
-		CorpusRecords: len(corpus),
-		PackedBytes:   int(info.Size()),
-		JSONBytes:     jsonBytes,
-		PackedRatio:   float64(info.Size()) / float64(jsonBytes),
-	}
 	fmt.Printf("== Codec: %d-record corpus packed to %s ==\n", len(corpus), path)
-	fmt.Printf("packed: %d bytes vs %d JSON bytes (%.2fx)\n",
-		result.PackedBytes, result.JSONBytes, result.PackedRatio)
-
-	r, err := codec.OpenCorpus(path)
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-
-	// One validated warm pass before timing anything.
-	warm := core.NewPlanArena()
-	decodePass := func(ar *core.PlanArena) error {
-		r.Rewind()
-		for i := 0; i < r.Len(); i++ {
-			if ar != nil {
-				ar.Reset()
-			}
-			if _, err := r.Next(ar); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := decodePass(warm); err != nil {
-		return err
-	}
-
-	result.Oneshot, err = measureDecode(len(corpus), iters, func() error { return decodePass(nil) })
-	if err != nil {
-		return err
-	}
-	result.Reuse, err = measureDecode(len(corpus), iters, func() error { return decodePass(warm) })
-	if err != nil {
-		return err
-	}
-	result.JSON, err = measureDecode(len(corpus), iters, func() error {
-		for _, body := range jsonBodies {
-			if _, err := core.ParseJSON(body); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	result.SpeedupVsJSON = result.Reuse.PlansPerSec / result.JSON.PlansPerSec
-
-	fmt.Printf("%-14s %12s %14s %14s\n", "decode path", "ns/plan", "plans/s", "allocs/plan")
-	for _, row := range []struct {
-		name string
-		run  decodeRun
-	}{{"oneshot", result.Oneshot}, {"reuse-arena", result.Reuse}, {"parse-json", result.JSON}} {
-		fmt.Printf("%-14s %12.0f %14.0f %14.2f\n",
-			row.name, row.run.NsPerPlan, row.run.PlansPerSec, row.run.AllocsPerPlan)
-	}
-	fmt.Printf("reuse-arena vs parse-json: %.2fx plans/s\n", result.SpeedupVsJSON)
-	if packPath != "" {
-		fmt.Printf("kept packed corpus at %s\n", packPath)
-	}
-
-	if out != "" {
-		data, err := json.MarshalIndent(result, "", "  ")
-		if err != nil {
-			return err
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(out, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", out)
-	}
-	fmt.Println()
+	fmt.Printf("packed: %d bytes vs %d JSON bytes (%.2fx)\n\n",
+		info.Size(), jsonBytes, float64(info.Size())/float64(jsonBytes))
 	return nil
 }

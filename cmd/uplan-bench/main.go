@@ -1,30 +1,22 @@
 // Command uplan-bench regenerates the paper's benchmarking artifacts
 // (application A.3): Table VI (TPC-H operation counts across five DBMSs),
 // Table VII (YCSB on MongoDB, WDBench on Neo4j), Figure 4 (Producer-count
-// variance per query), and the Listing 4 q11 analysis. The batch
-// experiment measures conversion throughput of the mixed nine-dialect
-// corpus, sequentially or through the concurrent pipeline.
+// variance per query), and the Listing 4 q11 analysis. It also runs the
+// plan-based testing campaign and packs or unpacks the binary corpus.
+// Throughput is measured elsewhere: perfbench (BENCHMARK.json) for the
+// campaign and the service, go test -bench for the converters, the batch
+// pipeline and the codec.
 //
 // Usage:
 //
-//	uplan-bench [-seed 42] [-experiment all|table6|table7|figure4|q11|batch|text|campaign|serve|codec]
-//	            [-parallel N] [-chunk N] [-iters N] [-queries N] [-out FILE]
+//	uplan-bench [-seed 42] [-experiment all|table6|table7|figure4|q11|campaign|codec]
+//	            [-parallel N] [-queries N] [-oracles LIST]
 //	            [-store DIR] [-resume] [-checkpoint-every N]
-//	            [-pack FILE] [-unpack FILE]
+//	            [-pack FILE | -unpack FILE]
 //	            [-cpuprofile FILE] [-memprofile FILE]
 //
-// -parallel N runs the batch experiment through the conversion pipeline
-// with N workers and reports the speedup over the sequential one-shot
-// path; -parallel 0 (the default) reports the sequential path only.
-// -chunk N sets the records each worker claims at a time (0 means
-// pipeline.DefaultChunkSize).
-// -out FILE additionally writes the batch experiment's throughput and
-// speedup numbers as JSON (see BENCH_batch.json for the committed
-// snapshots that record the perf trajectory across PRs).
-//
-// -experiment text measures each dialect's text-format converter
-// trajectory — the one-shot path against a reused arena — over -iters
-// conversions per dialect, reporting ns/plan and allocs/plan.
+// -experiment all runs the four paper artifacts: table6, table7, figure4
+// and q11. An unknown experiment name is a usage error (exit 2).
 //
 // -experiment campaign fans every registered testing oracle (QPG, CERT,
 // TLP, and the cardinality-bounds oracle; -oracles selects a subset)
@@ -45,23 +37,11 @@
 // skipped, the rest re-run, and the combined outcome is byte-identical
 // to an uninterrupted run. -checkpoint-every N bounds mid-task loss.
 //
-// -experiment serve load-tests the plan service end to end: it boots an
-// in-process internal/serve server on a loopback :0 listener, fans
-// -parallel serveclient clients out over -iters convert requests drawn
-// from the mixed corpus (plus one full-corpus batch-convert), and
-// reports client-observed requests/sec, cache hit rate, and shed
-// counts. -out writes the run as JSON (see BENCH_batch.json's
-// uplan_serve snapshots).
-//
-// -experiment codec packs the converted corpus into the compact binary
-// plan format (internal/codec), compares the packed size against the
-// JSON serialization, and measures decode throughput three ways: fresh
-// allocations per plan, one continuously reused arena, and the streaming
-// JSON reference path. -pack FILE keeps the packed corpus on disk;
-// -unpack FILE decodes and summarizes an existing packed corpus instead
-// of benchmarking. -iters sets the full-corpus passes per decode path;
-// -out writes the run as JSON (see BENCH_batch.json's uplan_codec
-// snapshots).
+// -experiment codec needs exactly one of -pack FILE, which packs the
+// converted nine-dialect corpus into the compact binary plan format
+// (internal/codec) at FILE and prints its size against the JSON
+// serialization, and -unpack FILE, which decodes and summarizes an
+// existing packed corpus.
 //
 // -cpuprofile / -memprofile write pprof profiles covering whichever
 // experiments ran, so hot-path regressions can be diagnosed with
@@ -70,68 +50,54 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
-	"time"
 
 	"uplan/internal/bench"
 	"uplan/internal/campaign"
-	"uplan/internal/convert"
-	"uplan/internal/core"
-	"uplan/internal/pipeline"
 	"uplan/internal/shutdown"
 	"uplan/internal/store"
 )
 
-// batchResult is the machine-readable outcome of the batch experiment,
-// written by -out.
-type batchResult struct {
-	Experiment    string  `json:"experiment"`
-	Seed          int64   `json:"seed"`
-	CorpusRecords int     `json:"corpus_records"`
-	Sequential    pathRun `json:"sequential"`
-	Cached        pathRun `json:"sequential_cached"`
-	// Pipeline is present when -parallel > 0. Workers is the requested
-	// count; WorkersEffective is what ConvertBatch actually ran after
-	// its GOMAXPROCS clamp — on a 1-CPU runner the two routinely differ.
-	Pipeline         *pipeline.Report `json:"pipeline,omitempty"`
-	Workers          int              `json:"workers,omitempty"`
-	WorkersEffective int              `json:"workers_effective,omitempty"`
-	ChunkSize        int              `json:"chunk_size,omitempty"`
-	SpeedupVsSeq     float64          `json:"speedup_vs_sequential,omitempty"`
-	SpeedupVsCached  float64          `json:"speedup_vs_sequential_cached,omitempty"`
-}
-
-// pathRun records one conversion strategy's throughput.
-type pathRun struct {
-	Plans       int     `json:"plans"`
-	Seconds     float64 `json:"seconds"`
-	PlansPerSec float64 `json:"plans_per_sec"`
-}
+// experiments are the valid -experiment names.
+var experiments = []string{"all", "table6", "table7", "figure4", "q11", "campaign", "codec"}
 
 func main() {
 	seed := flag.Int64("seed", 42, "data generator seed")
-	experiment := flag.String("experiment", "all", "experiment: all, table6, table7, figure4, q11, batch, text, campaign, serve, codec")
-	parallel := flag.Int("parallel", 0, "batch: pipeline worker count (0 = sequential only); campaign: task pool bound (0 = GOMAXPROCS)")
-	chunk := flag.Int("chunk", 0, "batch experiment: records per pipeline dispatch chunk (0 = default)")
-	iters := flag.Int("iters", 2000, "text experiment: conversions per dialect per path")
+	experiment := flag.String("experiment", "all", "experiment: "+strings.Join(experiments, ", "))
+	parallel := flag.Int("parallel", 0, "campaign experiment: task pool bound (0 = GOMAXPROCS)")
 	queries := flag.Int("queries", 100, "campaign experiment: generated-query budget per engine/oracle task")
 	storeDir := flag.String("store", "", "campaign experiment: journal plans, findings, and checkpoints to this durable log directory")
 	resume := flag.Bool("resume", false, "campaign experiment: resume an interrupted campaign from the -store directory")
 	checkpointEvery := flag.Int("checkpoint-every", 50, "campaign experiment: queries between mid-task durability checkpoints (0 = task boundaries only)")
 	oracles := flag.String("oracles", "", "campaign experiment: comma-separated oracle subset (default: all registered; e.g. qpg,cert,tlp,bounds)")
-	out := flag.String("out", "", "batch experiment: write machine-readable JSON results to FILE")
-	pack := flag.String("pack", "", "codec experiment: keep the packed binary corpus at FILE")
-	unpack := flag.String("unpack", "", "codec experiment: decode and summarize an existing packed corpus instead of benchmarking")
+	pack := flag.String("pack", "", "codec experiment: pack the converted corpus into a binary corpus at FILE")
+	unpack := flag.String("unpack", "", "codec experiment: decode and summarize an existing packed corpus at FILE")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the experiments to FILE")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to FILE on exit")
 	flag.Parse()
+
+	// Usage errors exit 2, like the flag package's own: a mistyped
+	// experiment must not pass as a run that found nothing.
+	usage := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "uplan-bench: "+format+"\n", args...)
+		fmt.Fprintf(os.Stderr, "valid -experiment names: %s\n", strings.Join(experiments, ", "))
+		os.Exit(2)
+	}
+	switch {
+	case !slices.Contains(experiments, *experiment):
+		usage("unknown -experiment %q", *experiment)
+	case *experiment != "codec" && (*pack != "" || *unpack != ""):
+		usage("-pack/-unpack only apply to the codec experiment (got -experiment %s)", *experiment)
+	case *experiment == "codec" && (*pack == "") == (*unpack == ""):
+		usage("-experiment codec needs exactly one of -pack FILE or -unpack FILE")
+	}
 
 	run := func(name string) bool { return *experiment == "all" || *experiment == name }
 	// flushProfiles finalizes -cpuprofile/-memprofile. It runs both on the
@@ -168,12 +134,6 @@ func main() {
 		flushProfiles()
 		os.Exit(1)
 	}
-	if *out != "" && !run("batch") && *experiment != "serve" && *experiment != "codec" {
-		fail(fmt.Errorf("-out only applies to the batch, serve, and codec experiments (got -experiment %s)", *experiment))
-	}
-	if (*pack != "" || *unpack != "") && *experiment != "codec" {
-		fail(fmt.Errorf("-pack/-unpack only apply to the codec experiment (got -experiment %s)", *experiment))
-	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -185,7 +145,7 @@ func main() {
 		}
 		cpuFile = f
 	}
-	// The campaign experiment is explicit-only, like text: a nine-engine
+	// The campaign experiment is explicit-only: a nine-engine
 	// bug-hunting fan-out is a workload of its own, not one of the
 	// paper's tabulated artifacts, so "all" does not imply it.
 	if *experiment == "campaign" {
@@ -251,40 +211,16 @@ func main() {
 			fmt.Println("  " + f.String())
 		}
 	}
-	// The serve experiment is explicit-only too: it boots a live HTTP
-	// service and load-tests it through serveclient — a workload of its
-	// own, not one of the paper's artifacts.
-	if *experiment == "serve" {
-		if *iters <= 0 {
-			fail(fmt.Errorf("-iters must be positive (got %d)", *iters))
-		}
-		if err := runServeExperiment(*seed, *parallel, *iters, *out); err != nil {
-			fail(err)
-		}
-	}
-	// The codec experiment is explicit-only as well: a serialization
-	// microbenchmark, not one of the paper's artifacts.
+	// The codec experiment is explicit-only as well: a corpus tool, not
+	// one of the paper's artifacts.
 	if *experiment == "codec" {
+		var err error
 		if *unpack != "" {
-			if err := runCodecUnpack(*unpack); err != nil {
-				fail(err)
-			}
+			err = runCodecUnpack(*unpack)
 		} else {
-			if *iters <= 0 {
-				fail(fmt.Errorf("-iters must be positive (got %d)", *iters))
-			}
-			if err := runCodecExperiment(*seed, *iters, *pack, *out); err != nil {
-				fail(err)
-			}
+			err = runCodecPack(*seed, *pack)
 		}
-	}
-	// The text experiment is explicit-only: it is a microbenchmark loop,
-	// not one of the paper's artifacts, so "all" does not imply it.
-	if *experiment == "text" {
-		if *iters <= 0 {
-			fail(fmt.Errorf("-iters must be positive (got %d)", *iters))
-		}
-		if err := runTextExperiment(*seed, *iters); err != nil {
+		if err != nil {
 			fail(err)
 		}
 	}
@@ -315,89 +251,6 @@ func main() {
 		fmt.Print(bench.FormatCategoryTable(reports))
 		fmt.Println()
 	}
-	if run("batch") {
-		corpus, err := bench.Corpus(*seed)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("== Batch conversion: %d-record mixed nine-dialect corpus ==\n", len(corpus))
-		result := batchResult{
-			Experiment:    "batch",
-			Seed:          *seed,
-			CorpusRecords: len(corpus),
-		}
-
-		// Sequential baseline: the one-shot path, which builds a fresh
-		// registry-backed converter for every record.
-		start := time.Now()
-		for _, r := range corpus {
-			if _, err := convert.Convert(r.Dialect, r.Serialized); err != nil {
-				fail(err)
-			}
-		}
-		seqElapsed := time.Since(start)
-		seqRate := float64(len(corpus)) / seqElapsed.Seconds()
-		result.Sequential = pathRun{len(corpus), seqElapsed.Seconds(), seqRate}
-		fmt.Printf("sequential: %d plans in %.3fs (%.0f plans/s)\n",
-			len(corpus), seqElapsed.Seconds(), seqRate)
-
-		// Cached path: one shared converter per dialect, the facade's
-		// single-plan fast path.
-		start = time.Now()
-		for _, r := range corpus {
-			c, err := convert.Cached(r.Dialect)
-			if err != nil {
-				fail(err)
-			}
-			if _, err := c.Convert(r.Serialized); err != nil {
-				fail(err)
-			}
-		}
-		cachedElapsed := time.Since(start)
-		cachedRate := float64(len(corpus)) / cachedElapsed.Seconds()
-		result.Cached = pathRun{len(corpus), cachedElapsed.Seconds(), cachedRate}
-		fmt.Printf("sequential-cached: %d plans in %.3fs (%.0f plans/s)\n",
-			len(corpus), cachedElapsed.Seconds(), cachedRate)
-
-		if *parallel > 0 {
-			if *chunk <= 0 {
-				*chunk = pipeline.DefaultChunkSize
-			}
-			popts := pipeline.Options{Workers: *parallel, ChunkSize: *chunk}
-			results, stats := pipeline.ConvertBatch(corpus, popts)
-			for _, r := range results {
-				if r.Err != nil {
-					fail(r.Err)
-				}
-			}
-			effective := *parallel
-			if n := runtime.GOMAXPROCS(0); effective > n {
-				effective = n
-			}
-			fmt.Printf("pipeline (%d workers requested, %d effective, chunk %d):\n%s",
-				*parallel, effective, popts.ChunkSize, stats)
-			fmt.Printf("speedup over sequential: %.2fx\n", stats.PlansPerSec()/seqRate)
-			report := stats.Report()
-			result.Pipeline = &report
-			result.Workers = *parallel
-			result.WorkersEffective = effective
-			result.ChunkSize = popts.ChunkSize
-			result.SpeedupVsSeq = stats.PlansPerSec() / seqRate
-			result.SpeedupVsCached = stats.PlansPerSec() / cachedRate
-		}
-		if *out != "" {
-			data, err := json.MarshalIndent(result, "", "  ")
-			if err != nil {
-				fail(err)
-			}
-			data = append(data, '\n')
-			if err := os.WriteFile(*out, data, 0o644); err != nil {
-				fail(err)
-			}
-			fmt.Printf("wrote %s\n", *out)
-		}
-		fmt.Println()
-	}
 	if run("q11") {
 		a, err := bench.RunQ11(*seed)
 		if err != nil {
@@ -412,57 +265,4 @@ func main() {
 		fmt.Printf("redundant scan time: %.3f ms of %.3f ms (%.0f%%)\n",
 			a.RedundantMS, a.TotalMS, a.SavingsFraction()*100)
 	}
-}
-
-// runTextExperiment measures every text-dialect converter through the
-// one-shot path and through a reused arena, reporting ns/plan and
-// allocs/plan so the text-path trajectory is trackable like the batch
-// path's.
-func runTextExperiment(seed int64, iters int) error {
-	samples, err := bench.TextSamples(seed)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("== Text converters: %d conversions per dialect per path ==\n", iters)
-	fmt.Printf("%-14s %12s %12s %14s %14s %9s\n",
-		"dialect", "oneshot ns", "reuse ns", "oneshot allocs", "reuse allocs", "speedup")
-	measure := func(fn func()) (nsPerOp float64, allocsPerOp float64) {
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			fn()
-		}
-		elapsed := time.Since(start)
-		runtime.ReadMemStats(&after)
-		return float64(elapsed.Nanoseconds()) / float64(iters),
-			float64(after.Mallocs-before.Mallocs) / float64(iters)
-	}
-	for _, s := range samples {
-		conv, err := convert.Cached(s.Dialect)
-		if err != nil {
-			return err
-		}
-		if _, err := conv.Convert(s.Raw); err != nil {
-			return fmt.Errorf("%s: %w", s.Name, err)
-		}
-		//lint:allow oracleerr timed closure; the same conversion was validated just above
-		oneNs, oneAllocs := measure(func() { conv.Convert(s.Raw) })
-		ar := core.NewPlanArena()
-		// Validate the arena path too before timing it: a failing path
-		// measures its error return and reports a bogus speedup.
-		if _, err := convert.ConvertInto(s.Dialect, s.Raw, ar); err != nil {
-			return fmt.Errorf("%s (arena path): %w", s.Name, err)
-		}
-		ar.Reset()
-		reuseNs, reuseAllocs := measure(func() {
-			//lint:allow oracleerr timed closure; the arena path was validated just above
-			convert.ConvertInto(s.Dialect, s.Raw, ar)
-			ar.Reset()
-		})
-		fmt.Printf("%-14s %12.0f %12.0f %14.1f %14.1f %8.2fx\n",
-			s.Name, oneNs, reuseNs, oneAllocs, reuseAllocs, oneNs/reuseNs)
-	}
-	return nil
 }

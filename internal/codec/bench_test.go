@@ -106,8 +106,10 @@ func TestCodecDecodeAllocBudget(t *testing.T) {
 // BenchmarkCodecDecode measures corpus decode throughput. The reuse
 // sub-benchmark is the acceptance configuration (one arena, Reset per
 // plan, table parsed once per file); oneshot pays a fresh arena per plan
-// the way a cold caller would. plans/s is reported for direct comparison
-// with BenchmarkDecodeJSON/stream at the same HEAD.
+// the way a cold caller would. parse-json reparses the same plans from
+// their canonical JSON with core.ParseJSON, the format a stored corpus
+// would otherwise use. plans/s is reported for direct comparison with
+// BenchmarkDecodeJSON/stream at the same HEAD.
 func BenchmarkCodecDecode(b *testing.B) {
 	blob, plans := packedCorpus(b)
 	b.Run("reuse", func(b *testing.B) {
@@ -142,6 +144,29 @@ func BenchmarkCodecDecode(b *testing.B) {
 					break
 				}
 				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		b.StopTimer()
+		perPlan := float64(b.Elapsed().Nanoseconds()) / float64(b.N*len(plans))
+		b.ReportMetric(1e9/perPlan, "plans/s")
+		b.ReportMetric(perPlan, "ns/plan")
+	})
+	b.Run("parse-json", func(b *testing.B) {
+		bodies := make([][]byte, len(plans))
+		for i, p := range plans {
+			body, err := p.MarshalJSON()
+			if err != nil {
+				b.Fatal(err)
+			}
+			bodies[i] = body
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, body := range bodies {
+				if _, err := core.ParseJSON(body); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -7,6 +7,7 @@ import (
 	"uplan/internal/core"
 	"uplan/internal/dbms"
 	"uplan/internal/explain"
+	"uplan/internal/sqlancer"
 )
 
 // engine creates a seeded engine for converter round-trip tests.
@@ -33,34 +34,67 @@ const testQuery = "SELECT t0.c2, COUNT(*) FROM t0 INNER JOIN t1 ON t0.c0 = t1.c0
 
 // TestEndToEndAllEnginesAllFormats is the central integration test: every
 // engine's every supported native format must convert into a valid unified
-// plan.
+// plan, and — the paper's premise — every non-graph format of one query
+// must convert to the same structural fingerprint. The query set is the
+// fixed join/aggregate testQuery plus 100 sqlancer queries for each of
+// seeds 1–3 on every engine.
 func TestEndToEndAllEnginesAllFormats(t *testing.T) {
 	for _, name := range dbms.Names() {
-		e := engine(t, name)
-		for _, f := range e.SupportedFormats() {
-			if f == explain.FormatGraph {
-				continue // DOT stands in for IDE graphs; not a converter input
+		checkFormats(t, engine(t, name), name, testQuery)
+		for seed := int64(1); seed <= 3; seed++ {
+			g := sqlancer.New(seed)
+			e := dbms.MustNew(name)
+			for _, stmt := range g.SchemaSQL(2, 12) {
+				if _, err := e.Execute(stmt); err != nil {
+					t.Fatalf("%s seed %d: schema: %v", name, seed, err)
+				}
 			}
-			serialized, err := e.Explain(testQuery, f)
-			if err != nil {
-				t.Fatalf("%s/%s: explain: %v", name, f, err)
+			if err := e.Analyze(); err != nil {
+				t.Fatal(err)
 			}
-			plan, err := Convert(name, serialized)
-			if err != nil {
-				t.Fatalf("%s/%s: convert: %v\ninput:\n%s", name, f, err, serialized)
+			for i := 0; i < 100; i++ {
+				checkFormats(t, e, name, g.Query())
 			}
-			if err := plan.Validate(); err != nil {
-				t.Errorf("%s/%s: invalid unified plan: %v", name, f, err)
-			}
-			if plan.Source != name {
-				t.Errorf("%s/%s: source = %q", name, f, plan.Source)
-			}
-			if name != "influxdb" && plan.Root == nil {
-				t.Errorf("%s/%s: no operations parsed\ninput:\n%s", name, f, serialized)
-			}
-			if name == "influxdb" && plan.Root != nil {
-				t.Errorf("influxdb must be property-only")
-			}
+		}
+	}
+}
+
+// checkFormats explains query in each of e's non-graph formats, converts
+// every output into a valid unified plan, and requires the plans'
+// Fingerprint64 to agree across formats.
+func checkFormats(t *testing.T, e *dbms.Engine, name, query string) {
+	t.Helper()
+	var first explain.Format
+	var want uint64
+	for _, f := range e.SupportedFormats() {
+		if f == explain.FormatGraph {
+			continue // DOT stands in for IDE graphs; not a converter input
+		}
+		serialized, err := e.Explain(query, f)
+		if err != nil {
+			t.Fatalf("%s/%s: explain %q: %v", name, f, query, err)
+		}
+		plan, err := Convert(name, serialized)
+		if err != nil {
+			t.Fatalf("%s/%s: convert: %v\ninput:\n%s", name, f, err, serialized)
+		}
+		if err := plan.Validate(); err != nil {
+			t.Errorf("%s/%s: invalid unified plan: %v", name, f, err)
+		}
+		if plan.Source != name {
+			t.Errorf("%s/%s: source = %q", name, f, plan.Source)
+		}
+		if name != "influxdb" && plan.Root == nil {
+			t.Errorf("%s/%s: no operations parsed\ninput:\n%s", name, f, serialized)
+		}
+		if name == "influxdb" && plan.Root != nil {
+			t.Errorf("influxdb must be property-only")
+		}
+		fp := plan.Fingerprint64(core.FingerprintOptions{})
+		if first == "" {
+			first, want = f, fp
+		} else if fp != want {
+			t.Errorf("%s: %s and %s plans of %q differ in fingerprint", name, first, f, query)
 		}
 	}
 }

@@ -568,31 +568,34 @@ func toStr(d datum.D) string {
 	return strings.Trim(s, "'")
 }
 
-// likeMatch implements SQL LIKE with % (any run) and _ (any single char).
+// likeMatch implements SQL LIKE with % (any run) and _ (any single byte)
+// over bytes. It scans both strings once, and on a mismatch backtracks to
+// the most recent %, letting it absorb one more byte; earlier %s never
+// need revisiting, because the latest one can absorb anything they could.
+//
+//uplan:hotpath
 func likeMatch(s, pattern string) bool {
-	// Dynamic programming over pattern/string positions.
-	m, n := len(pattern), len(s)
-	dp := make([][]bool, m+1)
-	for i := range dp {
-		dp[i] = make([]bool, n+1)
-	}
-	dp[0][0] = true
-	for i := 1; i <= m; i++ {
-		if pattern[i-1] == '%' {
-			dp[i][0] = dp[i-1][0]
-		}
-		for j := 1; j <= n; j++ {
-			switch pattern[i-1] {
-			case '%':
-				dp[i][j] = dp[i-1][j] || dp[i][j-1]
-			case '_':
-				dp[i][j] = dp[i-1][j-1]
-			default:
-				dp[i][j] = dp[i-1][j-1] && pattern[i-1] == s[j-1]
-			}
+	si, pi := 0, 0
+	star, mark := -1, 0 // last % seen in pattern, and the s position it resumes from
+	for si < len(s) {
+		switch {
+		case pi < len(pattern) && pattern[pi] == '%':
+			star, mark = pi, si
+			pi++
+		case pi < len(pattern) && (pattern[pi] == '_' || pattern[pi] == s[si]):
+			si++
+			pi++
+		case star >= 0:
+			mark++
+			si, pi = mark, star+1
+		default:
+			return false
 		}
 	}
-	return dp[m][n]
+	for pi < len(pattern) && pattern[pi] == '%' {
+		pi++
+	}
+	return pi == len(pattern)
 }
 
 // EvalTruth evaluates a predicate to a 3VL truth value.

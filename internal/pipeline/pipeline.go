@@ -6,12 +6,12 @@
 // the uplan facade and the benchmarks all go through it.
 //
 // The input slice itself is the work queue. Workers claim chunks of
-// Options.ChunkSize records (default DefaultChunkSize) through an atomic
-// cursor (ForEachChunkedCtx), write results straight into disjoint slots
-// of the output slice, and fold their statistics into worker-local
-// aggregates that merge exactly once, when the worker drains. A batch
-// therefore performs no per-record synchronization, which keeps it
-// competitive with the sequential cached path even on small corpora.
+// DefaultChunkSize records through an atomic cursor (ForEachChunkedCtx),
+// write results straight into disjoint slots of the output slice, and
+// fold their statistics into worker-local aggregates that merge exactly
+// once, when the worker drains. A batch therefore performs no per-record
+// synchronization, which keeps it competitive with the sequential cached
+// path even on small corpora.
 //
 // Workers convert through the process-wide cached converters
 // (convert.Cached), which share one registry and are safe for concurrent
@@ -52,8 +52,9 @@ type Result struct {
 	Err    error
 }
 
-// DefaultChunkSize is the records-per-claim unit ConvertBatch uses when
-// Options.ChunkSize is unset.
+// DefaultChunkSize is the records-per-claim unit ConvertBatch uses.
+// Larger chunks amortize the claim; smaller ones balance uneven records
+// and make cancellation finer.
 const DefaultChunkSize = 32
 
 // Options configures ConvertBatch. The zero value is ready to use.
@@ -63,10 +64,6 @@ type Options struct {
 	// GOMAXPROCS and to the number of chunks: conversion is CPU-bound, so
 	// goroutines beyond the schedulable cores only add overhead.
 	Workers int
-	// ChunkSize is how many records a worker claims at a time. Larger
-	// chunks amortize the claim; smaller ones balance uneven records and
-	// make cancellation finer. Non-positive values use DefaultChunkSize.
-	ChunkSize int
 	// Context, when non-nil, cancels the run between chunks: records not
 	// yet claimed when the context is done are skipped, and their Results
 	// carry the context's error instead of a Plan.
@@ -153,12 +150,15 @@ func (ld *localDialect) drain() *DialectStats {
 // dialects, malformed plans — are reported in the matching Result.Err and
 // counted in the stats; they do not stop the batch.
 func ConvertBatch(records []Record, opts Options) ([]Result, Stats) {
-	workers, chunk, ctx := opts.Workers, opts.ChunkSize, opts.Context
+	return convertBatch(records, opts, DefaultChunkSize)
+}
+
+// convertBatch is ConvertBatch with workers claiming chunk records at a
+// time; tests vary chunk to pin that results do not depend on it.
+func convertBatch(records []Record, opts Options, chunk int) ([]Result, Stats) {
+	workers, ctx := opts.Workers, opts.Context
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	if chunk <= 0 {
-		chunk = DefaultChunkSize
 	}
 	if ctx == nil {
 		ctx = context.Background()

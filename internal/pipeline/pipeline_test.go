@@ -242,8 +242,8 @@ func TestStatsHistogramMerge(t *testing.T) {
 // TestConvertBatchChunkSizes checks that results and statistics are
 // identical whatever the chunk size — per-record dispatch, the default,
 // one oversized chunk, a size that leaves a partial tail chunk — and for
-// the zero-value Options, which default Workers to GOMAXPROCS and
-// ChunkSize to DefaultChunkSize.
+// ConvertBatch with zero-value Options, which defaults Workers to
+// GOMAXPROCS.
 func TestConvertBatchChunkSizes(t *testing.T) {
 	recs := fixtures(t)
 	var batch []Record
@@ -254,34 +254,36 @@ func TestConvertBatchChunkSizes(t *testing.T) {
 	batch = append(batch, Record{Dialect: "oracle", Serialized: "x"},
 		Record{Dialect: "postgresql", Serialized: "garbage {{{"})
 
-	want, wantStats := ConvertBatch(batch, Options{Workers: 1, ChunkSize: len(batch)})
-	for _, opts := range []Options{
-		{Workers: 4, ChunkSize: 1},
-		{Workers: 4, ChunkSize: 7},
-		{Workers: 4, ChunkSize: DefaultChunkSize},
-		{Workers: 4, ChunkSize: len(batch)},
-		{Workers: 4, ChunkSize: len(batch) * 3},
-		{},
-	} {
-		got, stats := ConvertBatch(batch, opts)
+	want, wantStats := convertBatch(batch, Options{Workers: 1}, len(batch))
+	type run struct {
+		name  string
+		batch func() ([]Result, Stats)
+	}
+	runs := []run{{"ConvertBatch(zero Options)", func() ([]Result, Stats) { return ConvertBatch(batch, Options{}) }}}
+	for _, chunk := range []int{1, 7, DefaultChunkSize, len(batch), len(batch) * 3} {
+		runs = append(runs, run{fmt.Sprintf("workers=4 chunk=%d", chunk),
+			func() ([]Result, Stats) { return convertBatch(batch, Options{Workers: 4}, chunk) }})
+	}
+	for _, r := range runs {
+		got, stats := r.batch()
 		if len(got) != len(want) {
-			t.Fatalf("%+v: %d results, want %d", opts, len(got), len(want))
+			t.Fatalf("%s: %d results, want %d", r.name, len(got), len(want))
 		}
 		for i := range got {
 			if got[i].Seq != i || got[i].Record != batch[i] {
-				t.Fatalf("%+v: result %d misplaced", opts, i)
+				t.Fatalf("%s: result %d misplaced", r.name, i)
 			}
 			if (got[i].Err != nil) != (want[i].Err != nil) {
-				t.Errorf("%+v: result %d error mismatch: %v vs %v",
-					opts, i, got[i].Err, want[i].Err)
+				t.Errorf("%s: result %d error mismatch: %v vs %v",
+					r.name, i, got[i].Err, want[i].Err)
 			}
 			if got[i].Err == nil && !got[i].Plan.Equal(want[i].Plan) {
-				t.Errorf("%+v: result %d plan differs", opts, i)
+				t.Errorf("%s: result %d plan differs", r.name, i)
 			}
 		}
 		if stats.Records != wantStats.Records || stats.Converted != wantStats.Converted ||
 			stats.Errors != wantStats.Errors {
-			t.Errorf("%+v: stats %d/%d/%d, want %d/%d/%d", opts,
+			t.Errorf("%s: stats %d/%d/%d, want %d/%d/%d", r.name,
 				stats.Records, stats.Converted, stats.Errors,
 				wantStats.Records, wantStats.Converted, wantStats.Errors)
 		}

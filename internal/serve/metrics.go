@@ -75,7 +75,7 @@ func (m *metrics) recordOne(dialect string, err error) {
 
 // recordBatch folds one ConvertBatch run's aggregate in. Operation
 // histograms ride along so /metrics exposes the same per-dialect shape
-// uplan-bench reports.
+// pipeline.Stats reports.
 func (m *metrics) recordBatch(st pipeline.Stats) {
 	m.statsMu.Lock()
 	defer m.statsMu.Unlock()

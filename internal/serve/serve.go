@@ -24,7 +24,8 @@
 //     Clone detach (the arenaescape lint enforces this).
 //
 // cmd/uplan-serve is the binary; serveclient is the matching retrying
-// client; uplan-bench -experiment serve is the load generator.
+// client; perfbench's serve-miss and serve-hot workloads are the load
+// generator (see BENCHMARK.json).
 package serve
 
 import (

@@ -46,7 +46,10 @@ const (
 	recPlan     byte = 0x02 // 32-byte plan fingerprint key
 	recFinding  byte = 0x03 // one campaign finding (5 length-prefixed strings)
 	recProgress byte = 0x04 // per-task checkpoint (identity + counters)
-	recPlanBlob byte = 0x05 // 32-byte fingerprint + binary plan payload (internal/codec blob)
+	// recPlanBlob is reserved: older logs may hold full-plan blob frames
+	// (fingerprint + codec blob) under it. Recovery skips them like any
+	// unknown type; never reuse the value for a new record.
+	recPlanBlob byte = 0x05
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)

@@ -1,151 +1,56 @@
 package store
 
 import (
-	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
-
-	"uplan/internal/codec"
-	"uplan/internal/core"
 )
 
-// testBlobPlan fabricates a distinct small plan from an index. The
-// distinguishing property is a Configuration value, because the
-// structural fingerprint deliberately ignores cardinality estimates.
-func testBlobPlan(i int) *core.Plan {
-	n := core.NewNode(core.Producer, "Seq Scan")
-	n.AddProperty(core.Configuration, "table", core.Str(fmt.Sprintf("t%d", i)))
-	n.AddProperty(core.Cardinality, "rows", core.Num(float64(i)))
-	return &core.Plan{Source: "postgresql", Root: n}
-}
-
-// TestPlanBlobRoundTrip pins the full-plan journal: binary-codec blobs
-// appended under their fingerprints are deduplicated, recovered in log
-// order by the next Open, and decode back to the plans that produced
-// them. The store itself never touches the codec — the payload round
-// trip proves opacity is preserved.
-func TestPlanBlobRoundTrip(t *testing.T) {
+// TestReservedPlanBlobFrameSkipped: logs written when the store still
+// journaled full plans hold type-0x05 frames (a 32-byte fingerprint
+// followed by a codec blob). Such a log must open without truncation,
+// keep every other record around the old frames, and still take appends.
+// The frames are written with the literal type byte, so a new record type
+// that reused 0x05 would misparse them and fail here.
+func TestReservedPlanBlobFrameSkipped(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{})
-
-	const n = 10
-	var wantBlobs [][]byte
-	opts := core.FingerprintOptions{IncludeConfiguration: true, IncludeConfigurationValues: true}
-	for i := 0; i < n; i++ {
-		p := testBlobPlan(i)
-		blob, err := codec.Encode(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh, err := s.AppendPlanBlob(p.FingerprintBytes(opts), blob)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !fresh {
-			t.Fatalf("blob %d reported duplicate on first append", i)
-		}
-		wantBlobs = append(wantBlobs, blob)
-
-		// Same fingerprint again: deduplicated, no error.
-		fresh, err = s.AppendPlanBlob(p.FingerprintBytes(opts), blob)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fresh {
-			t.Fatalf("blob %d reported fresh on duplicate append", i)
-		}
+	fp := testPlanKey(1)
+	fp2 := testPlanKey(2)
+	f := testFinding(1)
+	var b []byte
+	b = appendFrame(b, recPlan, fp[:])
+	b = appendFrame(b, 0x05, append(fp[:], 0x55, 0x50, 0x43, 0x01, 0x02)) // fingerprint + blob
+	b = appendFrame(b, recFinding, appendFindingPayload(nil, f))
+	b = appendFrame(b, 0x05, fp2[:]) // fingerprint, empty blob
+	b = appendFrame(b, recPlan, fp2[:])
+	path := filepath.Join(dir, "shard-000.log")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if got := s.PlanBlobs(); got != n {
-		t.Fatalf("PlanBlobs = %d, want %d", got, n)
+
+	s := mustOpen(t, dir, Options{Shards: 1})
+	rec := s.Recovered()
+	if rec.Truncated != 0 || rec.DroppedBytes != 0 {
+		t.Fatalf("reserved frames truncated the log: %d shard(s), %d byte(s)", rec.Truncated, rec.DroppedBytes)
 	}
-	// Blob records are independent of fingerprint-only records.
-	if got := s.Plans(); got != 0 {
-		t.Fatalf("Plans = %d, want 0 (blob appends must not leak into the fingerprint index)", got)
+	if len(rec.Plans) != 2 || rec.Plans[0] != fp || rec.Plans[1] != fp2 {
+		t.Errorf("plans around the reserved frames: %x", rec.Plans)
+	}
+	if len(rec.Findings) != 1 || rec.Findings[0] != f {
+		t.Errorf("findings around the reserved frames: %+v", rec.Findings)
+	}
+	if info, err := os.Stat(path); err != nil || info.Size() != int64(len(b)) {
+		t.Fatalf("shard file changed on open: %v, %v", info, err)
+	}
+	if fresh, err := s.AppendPlan(testPlanKey(3)); err != nil || !fresh {
+		t.Fatalf("AppendPlan after reopen: fresh=%v err=%v", fresh, err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	re := mustOpen(t, dir, Options{})
+	re := mustOpen(t, dir, Options{Shards: 1})
 	defer re.Close()
-	rec := re.Recovered()
-	if rec.Empty() {
-		t.Fatal("recovery with blobs reports Empty")
-	}
-	if len(rec.PlanBlobs) != n {
-		t.Fatalf("recovered %d blobs, want %d", len(rec.PlanBlobs), n)
-	}
-	seen := map[[32]byte]bool{}
-	for _, pb := range rec.PlanBlobs {
-		if seen[pb.Fingerprint] {
-			t.Fatal("recovered a duplicate blob fingerprint")
-		}
-		seen[pb.Fingerprint] = true
-		p, err := codec.DecodeInto(pb.Data, nil)
-		if err != nil {
-			t.Fatalf("recovered blob does not decode: %v", err)
-		}
-		if pb.Fingerprint != p.FingerprintBytes(opts) {
-			t.Fatal("recovered blob's fingerprint does not match its plan")
-		}
-	}
-	// Log order is preserved within a shard; globally every appended blob
-	// must be present byte-identically.
-	for i, want := range wantBlobs {
-		found := false
-		for _, pb := range rec.PlanBlobs {
-			if bytes.Equal(pb.Data, want) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Fatalf("blob %d missing after recovery", i)
-		}
-	}
-	// A reopened store still dedups against recovered blobs.
-	p0 := testBlobPlan(0)
-	fresh, err := re.AppendPlanBlob(p0.FingerprintBytes(opts), wantBlobs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fresh {
-		t.Fatal("recovered blob re-appended as fresh")
-	}
-}
-
-// TestPlanBlobShortPayload: a CRC-valid blob frame shorter than a
-// fingerprint is a writer bug and must fail Open loudly, like every other
-// undecodable-but-checksummed payload.
-func TestPlanBlobShortPayload(t *testing.T) {
-	dir := t.TempDir()
-	frame := appendFrame(nil, recPlanBlob, []byte("too short"))
-	if err := os.WriteFile(filepath.Join(dir, "shard-000.log"), frame, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(dir, Options{}); err == nil {
-		t.Fatal("Open accepted a blob frame with a truncated fingerprint")
-	}
-}
-
-// TestPlanBlobEmptyPayloadBlob: a fingerprint with a zero-length blob is
-// valid (the frame is self-delimiting); it recovers with empty Data.
-func TestPlanBlobEmptyBlob(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{})
-	fp := testPlanKey(7)
-	if _, err := s.AppendPlanBlob(fp, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re := mustOpen(t, dir, Options{})
-	defer re.Close()
-	rec := re.Recovered()
-	if len(rec.PlanBlobs) != 1 || rec.PlanBlobs[0].Fingerprint != fp || len(rec.PlanBlobs[0].Data) != 0 {
-		t.Fatalf("empty blob recovery: %+v", rec.PlanBlobs)
+	if got := len(re.Recovered().Plans); got != 3 {
+		t.Errorf("recovered %d plans after appending behind reserved frames, want 3", got)
 	}
 }

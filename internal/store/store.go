@@ -75,9 +75,6 @@ type Recovered struct {
 	Meta []byte
 	// Plans are the distinct plan fingerprint keys, in log order.
 	Plans [][32]byte
-	// PlanBlobs are the distinct full plan payloads (binary-codec blobs,
-	// opaque to the store), in log order. Decoded with codec.DecodeInto.
-	PlanBlobs []PlanBlob
 	// Findings are the distinct findings, in log order.
 	Findings []Finding
 	// Progress maps each task to its most recent checkpoint.
@@ -101,17 +98,8 @@ func (r *Recovered) Tasks() []TaskKey {
 // Empty reports whether recovery found nothing at all — the fresh-
 // directory case a non-resuming campaign requires.
 func (r *Recovered) Empty() bool {
-	return r.Meta == nil && len(r.Plans) == 0 && len(r.PlanBlobs) == 0 &&
-		len(r.Findings) == 0 && len(r.Progress) == 0
-}
-
-// PlanBlob is one journaled full plan: its collision-resistant
-// fingerprint (the dedup key) and its binary-codec serialization. The
-// store treats Data as opaque bytes — the codec dependency points from
-// callers to internal/codec, never through the store.
-type PlanBlob struct {
-	Fingerprint [32]byte
-	Data        []byte
+	return r.Meta == nil && len(r.Plans) == 0 && len(r.Findings) == 0 &&
+		len(r.Progress) == 0
 }
 
 // shard is one open shard file.
@@ -140,7 +128,6 @@ type Store struct {
 	opts      Options
 	shards    []*shard
 	planIdx   map[[32]byte]struct{}
-	blobIdx   map[[32]byte]struct{}
 	findIdx   map[uint64]struct{}
 	meta      []byte
 	recovered Recovered
@@ -161,7 +148,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		dir:     dir,
 		opts:    opts,
 		planIdx: map[[32]byte]struct{}{},
-		blobIdx: map[[32]byte]struct{}{},
 		findIdx: map[uint64]struct{}{},
 	}
 	s.recovered.Progress = map[TaskKey]TaskProgress{}
@@ -232,19 +218,6 @@ func (s *Store) replay(typ byte, payload []byte) error {
 		if _, dup := s.planIdx[fp]; !dup {
 			s.planIdx[fp] = struct{}{}
 			s.recovered.Plans = append(s.recovered.Plans, fp)
-		}
-	case recPlanBlob:
-		if len(payload) < 32 {
-			return errBadPayload
-		}
-		var fp [32]byte
-		copy(fp[:], payload)
-		if _, dup := s.blobIdx[fp]; !dup {
-			s.blobIdx[fp] = struct{}{}
-			s.recovered.PlanBlobs = append(s.recovered.PlanBlobs, PlanBlob{
-				Fingerprint: fp,
-				Data:        append([]byte(nil), payload[32:]...),
-			})
 		}
 	case recFinding:
 		f, err := decodeFindingPayload(payload)
@@ -341,36 +314,6 @@ func (s *Store) AppendPlan(fp [32]byte) (bool, error) {
 	}
 	s.planIdx[fp] = struct{}{}
 	return true, nil
-}
-
-// AppendPlanBlob records a full plan payload — by convention a binary-
-// codec blob, though the store treats it as opaque bytes — keyed and
-// deduplicated by its fingerprint, and reports whether the payload was
-// new to the log. The frame is the fingerprint followed by the blob;
-// recovery surfaces both through Recovered.PlanBlobs. Blob records are a
-// separate space from AppendPlan's fingerprint-only records: a campaign
-// may journal every fingerprint but only the plans worth replaying.
-func (s *Store) AppendPlanBlob(fp [32]byte, blob []byte) (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, dup := s.blobIdx[fp]; dup {
-		return false, nil
-	}
-	payload := make([]byte, 0, 32+len(blob))
-	payload = append(payload, fp[:]...)
-	payload = append(payload, blob...)
-	if err := s.append(s.planShard(fp), recPlanBlob, payload); err != nil {
-		return false, err
-	}
-	s.blobIdx[fp] = struct{}{}
-	return true, nil
-}
-
-// PlanBlobs returns how many distinct plan payloads the log holds.
-func (s *Store) PlanBlobs() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.blobIdx)
 }
 
 // AppendFinding records a finding, writing a frame only when its full
